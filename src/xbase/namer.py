@@ -41,6 +41,7 @@ from .core import (
     check_name,
 )
 from .home import ROOT_NAMER_FILENAME, xbase_home
+from .stores import AppendOnlyFile
 
 NAMER_MAGIC = b"XNM1"
 NAMER_VERSION = 0x01
@@ -117,7 +118,7 @@ def _encode_record(record: BindingRecord) -> bytes:
     return body + struct.pack(">I", zlib.crc32(body))
 
 
-class LogNamer(Namer):
+class LogNamer(AppendOnlyFile, Namer):
     """Durable namer recording its bindings in an append-only log.
 
     Current state is the fold of all committed records; lookup_as_of
@@ -149,8 +150,9 @@ class LogNamer(Namer):
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "wb") as fh:
                 fh.write(NAMER_MAGIC + bytes([NAMER_VERSION]) + self._id.raw)
+            good_end = NAMER_HEADER_LEN
         self._path = path
-        self._fh = open(path, "ab")
+        self._open_append(good_end)
         return self
 
     @property
@@ -242,8 +244,7 @@ class LogNamer(Namer):
             raise ValueError("namer is closed")
 
     def _append(self, record: BindingRecord) -> None:
-        self._fh.write(_encode_record(record))
-        self._fh.flush()
+        self._append_bytes(_encode_record(record))
         self._records.append(record)
 
 

@@ -320,12 +320,52 @@ def _resume_sequence(policy: KeyPolicy, index: dict[bytes, Any]) -> None:
     policy.next_seq = max(policy.next_seq, highest + 1)
 
 
-class AppendLogStore(LocalStore):
+class AppendOnlyFile:
+    """Mixin for a log file appended through an unbuffered O_APPEND handle.
+
+    _append_bytes writes one record whole or not at all: if the write fails
+    partway (say ENOSPC), the file is cut back to where the record began
+    before the error propagates. If that cut fails as well, every later
+    append raises CorruptionError, so nothing is written after the torn
+    bytes; reopening the log drops them as a torn tail.
+    """
+
+    _path: Path
+
+    def _open_append(self, end: int) -> None:
+        self._fh = open(self._path, "ab", buffering=0)
+        self._end_offset = end
+        self._torn = False
+
+    def _append_bytes(self, record: bytes) -> int:
+        """Append record at the end of the log; return its start offset."""
+        if self._torn:
+            raise CorruptionError(
+                f"{self._path}: a failed append left a partial record; reopen the log"
+            )
+        start = self._end_offset
+        try:
+            view = memoryview(record)
+            while view:
+                view = view[self._fh.write(view) :]
+        except BaseException:
+            try:
+                os.ftruncate(self._fh.fileno(), start)
+            except OSError:
+                self._torn = True
+            raise
+        self._end_offset = start + len(record)
+        return start
+
+
+class AppendLogStore(AppendOnlyFile, LocalStore):
     """Persistent store appending every binding to a single log file.
 
-    A record is committed once its CRC is on disk. On open, a torn final
-    record (short read or CRC mismatch at the tail) is dropped; a CRC
-    mismatch anywhere earlier raises CorruptionError.
+    Each put's record is flushed to the OS before put returns; the log is
+    fsynced only at close, so a power loss can drop recent puts. A put that
+    fails leaves no partial record behind (see AppendOnlyFile). On open, a
+    torn final record (short read or CRC mismatch at the tail) is dropped;
+    a CRC mismatch anywhere earlier raises CorruptionError.
     """
 
     def __init__(self, *args, **kwargs):
@@ -354,7 +394,6 @@ class AppendLogStore(LocalStore):
                 # drop torn tail bytes so new appends land on a record boundary
                 with open(path, "r+b") as fh:
                     fh.truncate(good_end)
-            self._end_offset = good_end
         else:
             resolved = make_policy(policy)
             sid = store_id or StoreID.generate()
@@ -362,9 +401,9 @@ class AppendLogStore(LocalStore):
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "wb") as fh:
                 fh.write(_pack_header(sid, resolved))
-            self._end_offset = HEADER_LEN
+            good_end = HEADER_LEN
         self._path = path
-        self._fh = open(path, "ab")
+        self._open_append(good_end)
         self._read_fd = os.open(path, os.O_RDONLY)
         return self
 
@@ -379,10 +418,7 @@ class AppendLogStore(LocalStore):
                 struct.pack(">I", crc),
             )
         )
-        start = self._end_offset
-        self._fh.write(record)
-        self._fh.flush()
-        self._end_offset = start + len(record)
+        start = self._append_bytes(record)
         return (start + 8 + len(key_bytes), len(value))
 
     def _read(self, key_bytes: bytes, locator: tuple[int, int]) -> bytes:

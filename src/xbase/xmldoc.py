@@ -4,7 +4,11 @@ Supported subset: UTF-8 input, one root element, attributes in single or
 double quotes, character data, self-closing tags, the five predefined
 entities plus numeric character references, comments, and an XML
 declaration (both discarded). DTDs, processing instructions, and CDATA
-sections are rejected.
+sections are rejected. The parser scans text, names, attribute values and
+whitespace a run at a time and keeps open elements on an explicit stack, so
+nesting depth is limited only by memory. Stdlib expat would break the round
+trip below: it rejects raw and referenced U+0000/U+0001, turns \r into \n in
+text, and turns tab and newline into spaces in attribute values.
 
 The serializer emits one canonical form: attributes in stored order with
 double quotes, minimal escaping (& < > in text; & < > " in attribute
@@ -20,7 +24,14 @@ from dataclasses import dataclass
 
 from .core import XbaseError
 
-NAME_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_.:\-]*\Z")
+_NAME_RUN = re.compile(r"[A-Za-z_:][A-Za-z0-9_.:\-]*")
+NAME_RE = re.compile(_NAME_RUN.pattern + r"\Z")
+_SPACE_RUN = re.compile(r"[ \t\r\n]*")
+_TEXT_RUN = re.compile(r"[^<&]+")
+_VALUE_RUNS = {'"': re.compile(r'[^"<&]*'), "'": re.compile(r"[^'<&]*")}
+_PLAIN_ATTRIBUTE = re.compile(  # name="value" in one match, when it holds no reference
+    f"({_NAME_RUN.pattern})" + r"""[ \t\r\n]*=[ \t\r\n]*(?:"([^"<&]*)"|'([^'<&]*)')"""
+)
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
@@ -108,210 +119,199 @@ XmlNode = Element | Text
 
 
 class _Parser:
-    """Recursive-descent parser over the decoded text.
+    """Run-at-a-time scanner with an explicit element stack. Positions are in
+    characters; errors report byte offsets. node(cls, **fields) builds each
+    Element and Text from fields the scanner has already checked."""
 
-    Positions are tracked in characters; errors translate back to byte
-    offsets so they point into the original input.
-    """
-
-    def __init__(self, text: str):
+    def __init__(self, text: str, node):
         self.text = text
-        self.pos = 0
+        self.node = node
 
-    def fail(self, message: str, pos: int | None = None):
-        at = self.pos if pos is None else pos
-        raise ParseError(message, len(self.text[:at].encode("utf-8")))
+    def fail(self, message: str, pos: int):
+        raise ParseError(message, len(self.text[:pos].encode("utf-8")))
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    def skip_past(self, terminator: str, start: int, skip: int, message: str) -> int:
+        end = self.text.find(terminator, start + skip)
+        if end < 0:
+            self.fail(message, start)
+        return end + len(terminator)
 
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos : self.pos + n]
-
-    def skip_whitespace(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def skip_misc(self, allow_decl: bool) -> None:
+    def skip_misc(self, pos: int, allow_decl: bool) -> int:
         # whitespace, comments, and (at the very start) the XML declaration
         while True:
-            self.skip_whitespace()
-            if self.peek(4) == "<!--":
-                self.skip_comment()
-            elif allow_decl and self.peek(5) == "<?xml":
-                self.skip_declaration()
+            pos = _SPACE_RUN.match(self.text, pos).end()
+            if self.text.startswith("<!--", pos):
+                pos = self.skip_past("-->", pos, 4, "unterminated comment")
+            elif allow_decl and self.text.startswith("<?xml", pos):
+                pos = self.skip_past("?>", pos, 5, "unterminated XML declaration")
                 allow_decl = False
             else:
-                return
+                return pos
 
-    def skip_comment(self) -> None:
-        start = self.pos
-        end = self.text.find("-->", self.pos + 4)
-        if end < 0:
-            self.fail("unterminated comment", start)
-        self.pos = end + 3
-
-    def skip_declaration(self) -> None:
-        start = self.pos
-        end = self.text.find("?>", self.pos + 5)
-        if end < 0:
-            self.fail("unterminated XML declaration", start)
-        self.pos = end + 2
-
-    def parse_name(self) -> str:
-        match = re.compile(r"[A-Za-z_:][A-Za-z0-9_.:\-]*").match(self.text, self.pos)
+    def name(self, pos: int) -> tuple[str, int]:
+        match = _NAME_RUN.match(self.text, pos)
         if match is None:
-            self.fail("expected a name")
-        self.pos = match.end()
-        return match.group()
+            self.fail("expected a name", pos)
+        return match.group(), match.end()
 
-    def parse_reference(self) -> str:
-        # self.pos is on '&'
-        start = self.pos
-        end = self.text.find(";", self.pos + 1)
-        if end < 0 or end - self.pos > 12:
+    def reference(self, start: int) -> tuple[str, int]:
+        # start is on '&'
+        end = self.text.find(";", start + 1)
+        if end < 0 or end - start > 12:
             self.fail("unterminated entity reference", start)
-        body = self.text[self.pos + 1 : end]
-        self.pos = end + 1
+        body = self.text[start + 1 : end]
         if body.startswith("#"):
             try:
                 code = int(body[2:], 16) if body[1:2] in ("x", "X") else int(body[1:], 10)
             except ValueError:
                 self.fail(f"bad character reference &{body};", start)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
                 self.fail(f"character reference out of range &{body};", start)
-            return chr(code)
+            return chr(code), end + 1
         if body in _ENTITIES:
-            return _ENTITIES[body]
+            return _ENTITIES[body], end + 1
         self.fail(f"undefined entity &{body};", start)
 
-    def parse_attr_value(self) -> str:
-        quote = self.peek()
+    def attr_value(self, pos: int) -> tuple[str, int]:
+        text = self.text
+        quote = text[pos : pos + 1]
         if quote not in ("'", '"'):
-            self.fail("expected quoted attribute value")
-        self.pos += 1
+            self.fail("expected quoted attribute value", pos)
+        run = _VALUE_RUNS[quote]
         parts: list[str] = []
+        pos += 1
         while True:
-            if self.at_end():
-                self.fail("unterminated attribute value")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return "".join(parts)
-            if ch == "<":
-                self.fail("'<' in attribute value")
-            if ch == "&":
-                parts.append(self.parse_reference())
-            else:
-                parts.append(ch)
-                self.pos += 1
+            end = run.match(text, pos).end()
+            parts.append(text[pos:end])
+            if end >= len(text):
+                self.fail("unterminated attribute value", end)
+            if text[end] == quote:
+                return "".join(parts), end + 1
+            if text[end] == "<":
+                self.fail("'<' in attribute value", end)
+            value, pos = self.reference(end)
+            parts.append(value)
 
-    def parse_element(self) -> Element:
-        # self.pos is on '<'
-        self.pos += 1
-        name = self.parse_name()
-        attributes: list[tuple[str, str]] = []
-        seen: set[str] = set()
+    def open_element(self, pos: int, stack: list) -> int:
+        """Scan the start tag at pos (on '<'). A self-closed element joins
+        the children of stack[-1]; an open one is pushed as a new frame."""
+        text = self.text
+        name, pos = self.name(pos + 1)
+        attributes: dict[str, str] = {}
         while True:
-            had_space = self.pos < len(self.text) and self.text[self.pos] in " \t\r\n"
-            self.skip_whitespace()
-            if self.peek(2) == "/>":
-                self.pos += 2
-                return Element(name, tuple(attributes), ())
-            if self.peek() == ">":
-                self.pos += 1
-                break
-            if not had_space:
-                self.fail("expected whitespace before attribute")
-            attr_start = self.pos
-            attr_name = self.parse_name()
-            if attr_name in seen:
-                self.fail(f"duplicate attribute {attr_name!r}", attr_start)
-            seen.add(attr_name)
-            self.skip_whitespace()
-            if self.peek() != "=":
-                self.fail("expected '=' after attribute name")
-            self.pos += 1
-            self.skip_whitespace()
-            attributes.append((attr_name, self.parse_attr_value()))
+            end = _SPACE_RUN.match(text, pos).end()
+            if text.startswith(">", end):
+                stack.append((name, tuple(attributes.items()), [], []))
+                return end + 1
+            if text.startswith("/>", end):
+                pairs = tuple(attributes.items())
+                stack[-1][2].append(self.node(Element, name=name, attributes=pairs, children=()))
+                return end + 2
+            if end == pos:
+                self.fail("expected whitespace before attribute", pos)
+            plain = _PLAIN_ATTRIBUTE.match(text, end)
+            attr_name, pos = (plain[1], plain.end()) if plain else self.name(end)
+            if attr_name in attributes:
+                self.fail(f"duplicate attribute {attr_name!r}", end)
+            if plain:
+                attributes[attr_name] = plain[plain.lastindex]
+                continue
+            pos = _SPACE_RUN.match(text, pos).end()
+            if not text.startswith("=", pos):
+                self.fail("expected '=' after attribute name", pos)
+            attributes[attr_name], pos = self.attr_value(_SPACE_RUN.match(text, pos + 1).end())
 
-        children: list[XmlNode] = []
-        text_parts: list[str] = []
-
-        def flush_text() -> None:
-            if text_parts:
-                children.append(Text("".join(text_parts)))
-                text_parts.clear()
-
-        while True:
-            if self.at_end():
-                self.fail(f"unclosed element <{name}>")
-            ch = self.text[self.pos]
-            if ch == "<":
-                if self.peek(4) == "<!--":
-                    self.skip_comment()  # does not split surrounding text
-                    continue
-                if self.peek(2) == "</":
-                    close_start = self.pos
-                    self.pos += 2
-                    close_name = self.parse_name()
-                    if close_name != name:
-                        self.fail(
-                            f"mismatched tag: expected </{name}>, got </{close_name}>",
-                            close_start,
-                        )
-                    self.skip_whitespace()
-                    if self.peek() != ">":
-                        self.fail("expected '>' in closing tag")
-                    self.pos += 1
-                    flush_text()
-                    return Element(name, tuple(attributes), tuple(children))
-                if self.peek(9) == "<![CDATA[":
-                    self.fail("CDATA sections are not supported")
-                if self.peek(2) == "<!":
-                    self.fail("DTD constructs are not supported")
-                if self.peek(2) == "<?":
-                    self.fail("processing instructions are not supported")
-                flush_text()
-                children.append(self.parse_element())
-            elif ch == "&":
-                text_parts.append(self.parse_reference())
-            else:
-                text_parts.append(ch)
-                self.pos += 1
+    def reject_markup(self, pos: int) -> None:
+        if self.text.startswith("<![CDATA[", pos):
+            self.fail("CDATA sections are not supported", pos)
+        if self.text.startswith("<?", pos):
+            self.fail("processing instructions are not supported", pos)
+        self.fail("DTD constructs are not supported", pos)
 
     def parse_document(self) -> Element:
-        if self.peek() == "﻿":
-            self.pos += 1
-        self.skip_misc(allow_decl=True)
-        if self.at_end():
-            self.fail("expected a root element")
-        if self.peek() != "<":
-            self.fail("content outside the root element")
-        if self.peek(2) in ("<!", "<?"):
-            if self.peek(9) == "<![CDATA[":
-                self.fail("CDATA sections are not supported")
-            if self.peek(2) == "<?":
-                self.fail("processing instructions are not supported")
-            self.fail("DTD constructs are not supported")
-        root = self.parse_element()
-        self.skip_misc(allow_decl=False)
-        if not self.at_end():
-            self.fail("content after the root element")
-        return root
+        text, node, text_run = self.text, self.node, _TEXT_RUN.match
+        pos = self.skip_misc(1 if text.startswith("\ufeff") else 0, allow_decl=True)
+        if pos >= len(text):
+            self.fail("expected a root element", pos)
+        if text[pos] != "<":
+            self.fail("content outside the root element", pos)
+        if text.startswith(("<!", "<?"), pos):
+            self.reject_markup(pos)
+        # open elements, innermost last: (name, attributes, children, text runs)
+        stack: list = [("", (), [], [])]  # the bottom frame collects the root
+        pos = self.open_element(pos, stack)
+        name, attributes, children, parts = stack[-1]
+        while len(stack) > 1:
+            match = text_run(text, pos)
+            if match is not None:
+                parts.append(match.group())
+                pos = match.end()
+            if pos >= len(text):
+                self.fail(f"unclosed element <{name}>", pos)
+            markup = text[pos : pos + 2]
+            if markup[0] == "&":
+                value, pos = self.reference(pos)
+                parts.append(value)
+                continue
+            if markup == "</":
+                end = pos + len(name) + 3
+                if text[pos:end] != f"</{name}>":  # space before '>', or an error
+                    close_name, end = self.name(pos + 2)
+                    if close_name != name:
+                        self.fail(f"mismatched tag: expected </{name}>, got </{close_name}>", pos)
+                    end = _SPACE_RUN.match(text, end).end()
+                    if not text.startswith(">", end):
+                        self.fail("expected '>' in closing tag", end)
+                    end += 1
+                pos = end
+                if parts:
+                    children.append(node(Text, content="".join(parts)))
+                element = node(Element, name=name, attributes=attributes, children=tuple(children))
+                stack.pop()
+                stack[-1][2].append(element)
+            elif markup in ("<!", "<?"):
+                if not text.startswith("<!--", pos):
+                    self.reject_markup(pos)
+                # a comment does not split the text around it
+                pos = self.skip_past("-->", pos, 4, "unterminated comment")
+            else:
+                if parts:
+                    children.append(node(Text, content="".join(parts)))
+                    parts.clear()
+                pos = self.open_element(pos, stack)
+            name, attributes, children, parts = stack[-1]
+        pos = self.skip_misc(pos, allow_decl=False)
+        if pos < len(text):
+            self.fail("content after the root element", pos)
+        return stack[0][2][0]
+
+
+def _trusted(cls, **fields):
+    """Build a node from fields its caller has already validated, skipping
+    __post_init__. Only the parser and defragmentation use it."""
+    node = object.__new__(cls)
+    node.__dict__.update(fields)
+    return node
 
 
 def xml_parse(data: bytes | str) -> Element:
     """Parse one document and return its root element."""
+    node = _trusted
     if isinstance(data, (bytes, bytearray, memoryview)):
-        raw = bytes(data)
         try:
-            text = raw.decode("utf-8")
+            text = bytes(data).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8: {exc.reason}", exc.start) from None
-    else:
+    elif isinstance(data, str):
         text = data
-    return _Parser(text).parse_document()
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            # the validating constructors name the text or attribute at fault
+            node = lambda cls, **fields: cls(**fields)
+    else:
+        raise TypeError(f"document must be bytes or str, got {type(data).__name__}")
+    return _Parser(text, node).parse_document()
 
 
 def escape_text(value: str) -> str:
@@ -322,26 +322,26 @@ def escape_attr(value: str) -> str:
     return escape_text(value).replace('"', "&quot;")
 
 
-def _serialize_into(node: XmlNode, parts: list[str]) -> None:
-    if isinstance(node, Text):
-        parts.append(escape_text(node.content))
-        return
-    parts.append(f"<{node.name}")
-    for attr_name, value in node.attributes:
-        parts.append(f' {attr_name}="{escape_attr(value)}"')
-    if not node.children:
-        parts.append("/>")
-        return
-    parts.append(">")
-    for child in node.children:
-        _serialize_into(child, parts)
-    parts.append(f"</{node.name}>")
-
-
 def xml_serialize(node: XmlNode) -> bytes:
     """Canonical UTF-8 serialization; inverse of xml_parse on its image."""
     parts: list[str] = []
-    _serialize_into(node, parts)
+    pending: list = [node]  # nodes still to write, and closing tags (str)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Text):
+            parts.append(escape_text(node.content))
+        elif isinstance(node, str):
+            parts.append(node)
+        else:
+            parts.append(f"<{node.name}")
+            for attr_name, value in node.attributes:
+                parts.append(f' {attr_name}="{escape_attr(value)}"')
+            if node.children:
+                parts.append(">")
+                pending.append(f"</{node.name}>")
+                pending.extend(reversed(node.children))
+            else:
+                parts.append("/>")
     return "".join(parts).encode("utf-8")
 
 

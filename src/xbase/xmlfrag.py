@@ -37,7 +37,7 @@ from .core import (
     StoreID,
     XbaseError,
 )
-from .xmldoc import Element, Text, XmlNode, iter_elements, xml_parse, xml_serialize
+from .xmldoc import Element, Text, XmlNode, _trusted, iter_elements, xml_parse, xml_serialize
 
 XREF_NAME = "x-ref"
 WILDCARD = "*"
@@ -320,7 +320,9 @@ def _resolve_children(element: Element, store: Store, ctx: _DefragContext, on_pa
                 out.append(_resolve_children(child, store, ctx, on_path))
         else:
             out.append(child)
-    return Element(element.name, element.attributes, tuple(out))
+    # every child was valid and each x-ref became an element, so the
+    # rebuilt node needs no second validation
+    return _trusted(Element, name=element.name, attributes=element.attributes, children=tuple(out))
 
 
 def _load_fragment(key: Key, store: Store, ctx: _DefragContext, on_path: set) -> Element:

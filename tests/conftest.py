@@ -7,6 +7,8 @@ independent.
 """
 from __future__ import annotations
 
+import errno
+
 import pytest
 
 CRC32_POLY = 0xEDB88320
@@ -34,6 +36,28 @@ def lcg_keystream_reference(key: bytes, length: int) -> bytes:
         state = (LCG_A * state + LCG_C) % (1 << 64)
         out.append(state >> 56)
     return bytes(out)
+
+
+class HalfWriteFile:
+    """Stands in for a log's append handle: the first write puts half of its
+    bytes in the file and then fails as a full disk does; later writes pass
+    through to the real handle."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.tripped = False
+
+    def write(self, data) -> int:
+        if self.tripped:
+            return self._fh.write(data)
+        self.tripped = True
+        data = bytes(data)
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
 @pytest.fixture

@@ -262,6 +262,14 @@ def test_reflect_fuzz_raises_only_invalid_representation():
                 reflect(raw)
 
 
+def test_deeply_nested_store_image_is_invalid_representation():
+    deep = b"<a>" * 5000 + b"</a>" * 5000
+    head = f'<store id="{FIXED_HEX}" policy="random">'.encode()
+    for body in (deep, b'<entry key="00">' + deep + b"</entry>"):
+        with pytest.raises(InvalidRepresentationError):
+            store_reflect(head + body + b"</store>")
+
+
 def test_caster_instances_share_module_functions():
     rec = PersonRecord(name="X", age=1)
     assert PersonCaster().reify(rec) == person_reify(rec)

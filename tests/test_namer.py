@@ -1,11 +1,13 @@
 """Name binding semantics, the persistent binding log, and history replay."""
+import errno
+import os
 import random
 import struct
 import zlib
 
 import pytest
 
-from conftest import crc32_reference
+from conftest import HalfWriteFile, crc32_reference
 from xbase.core import (
     CorruptionError,
     Key,
@@ -281,3 +283,43 @@ def test_open_namer_helper(tmp_path):
     namer = open_namer(tmp_path / "x.namer")
     assert isinstance(namer, LogNamer)
     namer.close()
+
+
+def test_failed_bind_leaves_no_partial_record(tmp_path):
+    path = tmp_path / "f.namer"
+    namer = LogNamer.open(path)
+    namer.bind(N, K1)
+    namer._fh = HalfWriteFile(namer._fh)
+    with pytest.raises(OSError) as info:
+        namer.bind(N, K2)
+    assert info.value.errno == errno.ENOSPC
+    namer.bind(N, K3)
+    assert namer.lookup(N) == {K1, K3}
+    namer.close()
+    reopened = LogNamer.open(path)
+    assert reopened.lookup(N) == {K1, K3}
+    assert [(r.seq, r.key) for r in reopened.records()] == [(1, K1), (2, K3)]
+    reopened.close()
+
+
+def test_failed_cut_refuses_later_binds(tmp_path, monkeypatch):
+    path = tmp_path / "f.namer"
+    namer = LogNamer.open(path)
+    namer.bind(N, K1)
+    namer._fh = HalfWriteFile(namer._fh)
+
+    def failing_ftruncate(fd, length):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "ftruncate", failing_ftruncate)
+    with pytest.raises(OSError):
+        namer.bind(N, K2)
+    monkeypatch.undo()
+    with pytest.raises(CorruptionError):
+        namer.bind(N, K3)
+    assert namer.lookup(N) == {K1}
+    namer.close()
+    reopened = LogNamer.open(path)
+    assert reopened.lookup(N) == {K1}
+    assert reopened.max_seq == 1
+    reopened.close()

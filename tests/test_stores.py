@@ -1,4 +1,5 @@
 """Local store layouts and key policies, including the on-disk formats."""
+import errno
 import hashlib
 import os
 import struct
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import crc32_reference
+from conftest import HalfWriteFile, crc32_reference
 from xbase.core import (
     CorruptionError,
     Key,
@@ -360,6 +361,44 @@ class TestTornTail:
             fh.write(record)
         with pytest.raises(CorruptionError):
             AppendLogStore.open(path)
+
+
+class TestFailedAppend:
+    def test_failed_put_leaves_no_partial_record(self, tmp_path):
+        path = tmp_path / "f.store"
+        store = AppendLogStore.open(path, policy="sequence")
+        kept = store.put(b"kept")
+        store._fh = HalfWriteFile(store._fh)
+        with pytest.raises(OSError) as info:
+            store.put(b"F" * 100)
+        assert info.value.errno == errno.ENOSPC
+        good = store.put(b"good-value")
+        assert store.get(good) == b"good-value"
+        store = reopen(store)
+        assert dict(store.bindings()) == {kept: b"kept", good: b"good-value"}
+        store.close()
+
+    def test_failed_cut_refuses_later_puts(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.store"
+        store = AppendLogStore.open(path, policy="sequence")
+        kept = store.put(b"kept")
+        end = path.stat().st_size
+        store._fh = HalfWriteFile(store._fh)
+
+        def failing_ftruncate(fd, length):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "ftruncate", failing_ftruncate)
+        with pytest.raises(OSError):
+            store.put(b"F" * 100)
+        monkeypatch.undo()
+        with pytest.raises(CorruptionError):
+            store.put(b"next")
+        assert store.get(kept) == b"kept"
+        store = reopen(store)
+        assert dict(store.bindings()) == {kept: b"kept"}
+        assert path.stat().st_size == end
+        store.close()
 
 
 class TestFilePerKey:

@@ -163,6 +163,47 @@ class TestParser:
         assert xml_parse("<a/>") == Element("a")
 
 
+def test_negative_character_reference_is_parse_error():
+    for bad in (b"<a>&#-1;</a>", b'<a x="&#x-41;"/>'):
+        with pytest.raises(ParseError):
+            xml_parse(bad)
+
+
+def test_str_input_with_surrogates_raises_value_error():
+    with pytest.raises(ValueError, match="text content contains unpaired surrogates"):
+        xml_parse("<a>x\ud800</a>")
+    with pytest.raises(ValueError, match="attribute 'x' contains unpaired surrogates"):
+        xml_parse('<a x="\udfff"/>')
+
+
+DEEP = 5000
+
+
+def _deep_document() -> bytes:
+    return b"<a>" * DEEP + b"x" + b"</a>" * DEEP
+
+
+def _nesting_depth(element: Element) -> int:
+    # walked by hand: == and repr on a tree this deep would recurse
+    depth = 1
+    while isinstance(element.children[0], Element):
+        element = element.children[0]
+        depth += 1
+    assert element.children == (Text("x"),)
+    return depth
+
+
+def test_deep_nesting_parses():
+    assert _nesting_depth(xml_parse(_deep_document())) == DEEP
+
+
+def test_deep_nesting_survives_serialize_and_parse():
+    data = _deep_document()
+    again = xml_parse(xml_serialize(xml_parse(data)))
+    assert _nesting_depth(again) == DEEP
+    assert xml_serialize(again) == data
+
+
 class TestSerializer:
     def test_childless_is_self_closing(self):
         assert xml_serialize(Element("a")) == b"<a/>"
@@ -232,3 +273,35 @@ def _elements(draw, depth=0):
 @given(_elements())
 def test_parse_serialize_fixpoint(element):
     assert xml_parse(xml_serialize(element)) == element
+
+
+_edit_bytes = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.lists(st.sampled_from(list(b"<>/!?&#;x-='\" a1")), min_size=1, max_size=4).map(bytes),
+)
+_edits = st.lists(
+    st.tuples(st.sampled_from(("insert", "delete", "replace")), st.integers(0, 10**6), _edit_bytes),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements(), _edits)
+def test_mutated_documents_parse_or_raise_parse_error(element, edits):
+    data = bytearray(xml_serialize(element))
+    for op, at, chunk in edits:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = chunk
+        elif op == "delete":
+            del data[at : at + len(chunk)]
+        else:
+            data[at : at + len(chunk)] = chunk
+    try:
+        parsed = xml_parse(bytes(data))
+    except ParseError:
+        return
+    assert isinstance(parsed, Element)
+    once = xml_serialize(parsed)
+    assert xml_serialize(xml_parse(once)) == once
