@@ -20,6 +20,7 @@ from .core import (
     KeyConflictError,
     KeyGenerationError,
     KeyMismatchError,
+    LogLockedError,
     MalformedInputError,
     Name,
     Namer,

@@ -20,6 +20,7 @@ from .casters import store_reflect, store_reify
 from .core import (
     CorruptionError,
     Key,
+    LogLockedError,
     Name,
     XbaseError,
 )
@@ -44,6 +45,7 @@ PROXY_CONFIG_FILENAME = "proxy.xml"
 
 _IO_ERRORS = (
     CorruptionError,
+    LogLockedError,
     UnreachableError,
     AllTargetsUnreachableError,
     RemoteError,

@@ -51,6 +51,10 @@ class CorruptionError(XbaseError):
     """A persistent layout failed validation (bad magic, bad CRC, bad replay)."""
 
 
+class LogLockedError(XbaseError):
+    """A log file is already open, in this process or another; one opener at a time."""
+
+
 class PolicyMismatchError(XbaseError):
     """The requested key policy differs from the one recorded in the header."""
 

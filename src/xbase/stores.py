@@ -3,9 +3,8 @@
 Three layouts share one put/get engine:
 
 * MemoryStore    - transient, bindings held solely in memory
-* AppendLogStore - one append-only log file; each record carries a CRC so a
-                   torn final record is dropped on recovery while corruption
-                   elsewhere is detected
+* AppendLogStore - one append-only log file (see framedlog.py for its
+                   framing, torn-tail recovery and locking)
 * FilePerKeyStore - one value file per binding, named by the key's hex form,
                     written to a temporary name and renamed into place
 
@@ -28,12 +27,12 @@ import os
 import secrets
 import struct
 import threading
-import zlib
 from pathlib import Path
 from typing import Any, Iterator
 
 from .core import (
     MAX_KEY_LEN,
+    MAX_VALUE_LEN,
     BitString,
     CorruptionError,
     Key,
@@ -47,11 +46,22 @@ from .core import (
     check_key,
     check_value,
 )
+from .framedlog import FramedLog, LogFormat
 
 LOG_MAGIC = b"XLG1"
 FORMAT_VERSION = 0x01
 META_FILENAME = "store.meta"
 HEADER_LEN = 4 + 1 + 16 + 1
+STORE_LOG = LogFormat(
+    magic=LOG_MAGIC,
+    version=FORMAT_VERSION,
+    header_len=HEADER_LEN,
+    prefix=struct.Struct(""),
+    fields=(("key", 1, MAX_KEY_LEN), ("value", 0, MAX_VALUE_LEN)),
+    crc_whole_record=False,
+    short_header_error="short header ({} bytes)",
+    version_error="unsupported format version {}",
+)
 
 POLICY_TAG_RANDOM = 0x01
 POLICY_TAG_SEQUENCE = 0x02
@@ -279,21 +289,11 @@ class MemoryStore(LocalStore):
         return locator
 
 
-def _pack_header(store_id: StoreID, policy: KeyPolicy) -> bytes:
-    return LOG_MAGIC + bytes([FORMAT_VERSION]) + store_id.raw + bytes([policy.tag])
-
-
-def _parse_header(data: bytes, source: str) -> tuple[StoreID, int]:
-    if len(data) < HEADER_LEN:
-        raise CorruptionError(f"{source}: short header ({len(data)} bytes)")
-    if data[:4] != LOG_MAGIC:
-        raise CorruptionError(f"{source}: bad magic {data[:4]!r}")
-    if data[4] != FORMAT_VERSION:
-        raise CorruptionError(f"{source}: unsupported format version {data[4]}")
-    tag = data[21]
+def _policy_tag(extra: bytes, source: str) -> int:
+    tag = extra[0]
     if tag not in _POLICY_TYPES:
         raise CorruptionError(f"{source}: unknown policy tag {tag:#04x}")
-    return StoreID(data[5:21]), tag
+    return tag
 
 
 def _resolve_policy(requested: KeyPolicy | str | None, tag: int, source: str) -> KeyPolicy:
@@ -320,53 +320,16 @@ def _resume_sequence(policy: KeyPolicy, index: dict[bytes, Any]) -> None:
     policy.next_seq = max(policy.next_seq, highest + 1)
 
 
-class AppendOnlyFile:
-    """Mixin for a log file appended through an unbuffered O_APPEND handle.
-
-    _append_bytes writes one record whole or not at all: if the write fails
-    partway (say ENOSPC), the file is cut back to where the record began
-    before the error propagates. If that cut fails as well, every later
-    append raises CorruptionError, so nothing is written after the torn
-    bytes; reopening the log drops them as a torn tail.
-    """
-
-    _path: Path
-
-    def _open_append(self, end: int) -> None:
-        self._fh = open(self._path, "ab", buffering=0)
-        self._end_offset = end
-        self._torn = False
-
-    def _append_bytes(self, record: bytes) -> int:
-        """Append record at the end of the log; return its start offset."""
-        if self._torn:
-            raise CorruptionError(
-                f"{self._path}: a failed append left a partial record; reopen the log"
-            )
-        start = self._end_offset
-        try:
-            view = memoryview(record)
-            while view:
-                view = view[self._fh.write(view) :]
-        except BaseException:
-            try:
-                os.ftruncate(self._fh.fileno(), start)
-            except OSError:
-                self._torn = True
-            raise
-        self._end_offset = start + len(record)
-        return start
-
-
-class AppendLogStore(AppendOnlyFile, LocalStore):
+class AppendLogStore(FramedLog, LocalStore):
     """Persistent store appending every binding to a single log file.
 
-    Each put's record is flushed to the OS before put returns; the log is
+    Each put's record is handed to the OS before put returns; the log is
     fsynced only at close, so a power loss can drop recent puts. A put that
-    fails leaves no partial record behind (see AppendOnlyFile). On open, a
-    torn final record (short read or CRC mismatch at the tail) is dropped;
-    a CRC mismatch anywhere earlier raises CorruptionError.
+    fails leaves no partial record behind. Recovery on open and locking
+    follow framedlog.py.
     """
+
+    _format = STORE_LOG
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use AppendLogStore.open(path, policy)")
@@ -384,124 +347,34 @@ class AppendLogStore(AppendOnlyFile, LocalStore):
         """
         path = Path(path)
         self = object.__new__(cls)
-        if path.exists() and path.stat().st_size > 0:
-            sid, tag, index, good_end = _replay_log(path)
-            resolved = _resolve_policy(policy, tag, str(path))
-            LocalStore.__init__(self, sid, resolved)
-            self._index = index
-            _resume_sequence(resolved, index)
-            if good_end < path.stat().st_size:
-                # drop torn tail bytes so new appends land on a record boundary
-                with open(path, "r+b") as fh:
-                    fh.truncate(good_end)
-        else:
-            resolved = make_policy(policy)
-            sid = store_id or StoreID.generate()
-            LocalStore.__init__(self, sid, resolved)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(_pack_header(sid, resolved))
-            good_end = HEADER_LEN
-        self._path = path
-        self._open_append(good_end)
-        self._read_fd = os.open(path, os.O_RDONLY)
+        LocalStore.__init__(self, store_id or StoreID.generate(), make_policy(policy))
+        index = self._index
+
+        def replay(header, records):
+            self._id, extra = header
+            self._policy = _resolve_policy(policy, _policy_tag(extra, str(path)), str(path))
+            for start, _, key_bytes, value, end in records:
+                existing = index.get(key_bytes)
+                # a well-formed log never repeats a key; tolerate an exact
+                # duplicate record but reject a rebinding
+                if existing is not None and self._read(key_bytes, existing) != value:
+                    raise CorruptionError(f"{path}: key rebound at offset {start}")
+                index[key_bytes] = (end - 4 - len(value), len(value))
+
+        self._open_log(path, self._id, bytes([self._policy.tag]), replay)
+        _resume_sequence(self._policy, index)
         return self
 
     def _write(self, key_bytes: bytes, value: bytes) -> tuple[int, int]:
-        crc = zlib.crc32(value, zlib.crc32(key_bytes))
-        record = b"".join(
-            (
-                struct.pack(">I", len(key_bytes)),
-                key_bytes,
-                struct.pack(">I", len(value)),
-                value,
-                struct.pack(">I", crc),
-            )
-        )
-        start = self._append_bytes(record)
+        start = self._append_bytes(STORE_LOG.record((), key_bytes, value))
         return (start + 8 + len(key_bytes), len(value))
 
     def _read(self, key_bytes: bytes, locator: tuple[int, int]) -> bytes:
         offset, length = locator
-        data = os.pread(self._read_fd, length, offset)
+        data = os.pread(self._fh.fileno(), length, offset)
         if len(data) != length:
             raise CorruptionError(f"{self._path}: short read at offset {offset}")
         return data
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            os.close(self._read_fd)
-
-    def __enter__(self) -> AppendLogStore:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _replay_log(path: Path) -> tuple[StoreID, int, dict[bytes, tuple[int, int]], int]:
-    """Scan a log file; return (store_id, policy_tag, index, end of last good record)."""
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        sid, tag = _parse_header(fh.read(HEADER_LEN), str(path))
-        index: dict[bytes, tuple[int, int]] = {}
-        good_end = HEADER_LEN
-        offset = HEADER_LEN
-        while offset < size:
-            record_start = offset
-            head = fh.read(4)
-            if len(head) < 4:
-                break  # torn tail
-            (key_len,) = struct.unpack(">I", head)
-            if key_len == 0 or key_len > MAX_KEY_LEN:
-                # a complete length field is authentic, so this cannot be a torn write
-                raise CorruptionError(
-                    f"{path}: invalid key length {key_len} at offset {record_start}"
-                )
-            key_bytes = fh.read(key_len)
-            if len(key_bytes) < key_len:
-                break
-            head = fh.read(4)
-            if len(head) < 4:
-                break
-            (val_len,) = struct.unpack(">I", head)
-            value = fh.read(val_len)
-            if len(value) < val_len:
-                break
-            tail = fh.read(4)
-            if len(tail) < 4:
-                break
-            (stored_crc,) = struct.unpack(">I", tail)
-            offset = record_start + 12 + key_len + val_len
-            if stored_crc != zlib.crc32(value, zlib.crc32(key_bytes)):
-                if offset == size:
-                    break  # torn tail: CRC of the final record never hit the disk
-                raise CorruptionError(f"{path}: CRC mismatch at offset {record_start}")
-            existing = index.get(key_bytes)
-            if existing is not None:
-                # a well-formed log never repeats a key; tolerate an exact
-                # duplicate record but reject a rebinding
-                here = fh.tell()
-                fh.seek(existing[0])
-                prior = fh.read(existing[1])
-                fh.seek(here)
-                if prior != value:
-                    raise CorruptionError(
-                        f"{path}: key rebound at offset {record_start}"
-                    )
-            index[key_bytes] = (record_start + 8 + key_len, val_len)
-            good_end = offset
-    return sid, tag, index, good_end
 
 
 def _file_per_key_path(directory: Path, key_bytes: bytes) -> Path:
@@ -532,7 +405,8 @@ class FilePerKeyStore(LocalStore):
         meta_path = directory / META_FILENAME
         self = object.__new__(cls)
         if meta_path.exists():
-            sid, tag = _parse_header(meta_path.read_bytes(), str(meta_path))
+            sid, extra = STORE_LOG.check_header(meta_path.read_bytes(), str(meta_path))
+            tag = _policy_tag(extra, str(meta_path))
             resolved = _resolve_policy(policy, tag, str(directory))
             LocalStore.__init__(self, sid, resolved)
             self._index = _scan_value_files(directory)
@@ -544,7 +418,7 @@ class FilePerKeyStore(LocalStore):
             sid = store_id or StoreID.generate()
             LocalStore.__init__(self, sid, resolved)
             directory.mkdir(parents=True, exist_ok=True)
-            _atomic_write(meta_path, _pack_header(sid, resolved))
+            _atomic_write(meta_path, STORE_LOG.header(sid, bytes([resolved.tag])))
         self._dir = directory
         return self
 

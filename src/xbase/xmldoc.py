@@ -33,6 +33,7 @@ _PLAIN_ATTRIBUTE = re.compile(  # name="value" in one match, when it holds no re
     f"({_NAME_RUN.pattern})" + r"""[ \t\r\n]*=[ \t\r\n]*(?:"([^"<&]*)"|'([^'<&]*)')"""
 )
 
+_CHAR_REF = re.compile(r"#(?:([0-9]+)|x([0-9A-Fa-f]+))")  # the body of &#...;, ASCII only
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 
@@ -161,10 +162,10 @@ class _Parser:
             self.fail("unterminated entity reference", start)
         body = self.text[start + 1 : end]
         if body.startswith("#"):
-            try:
-                code = int(body[2:], 16) if body[1:2] in ("x", "X") else int(body[1:], 10)
-            except ValueError:
+            digits = _CHAR_REF.fullmatch(body)
+            if digits is None:
                 self.fail(f"bad character reference &{body};", start)
+            code = int(digits[1]) if digits[1] else int(digits[2], 16)
             if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
                 self.fail(f"character reference out of range &{body};", start)
             return chr(code), end + 1

@@ -121,3 +121,34 @@ def test_contracts_are_abstract():
     for contract in (Store, Namer, Caster, Interpreter):
         with pytest.raises(TypeError):
             contract()
+
+
+def test_public_surface_is_pinned():
+    """The names `from xbase import *` exports change only on purpose; a
+    change goes in CHANGES.md. The list includes the package's submodules."""
+    import xbase
+
+    assert sorted(xbase.__all__) == [
+        "AllTargetsUnreachableError", "AmbiguousNameError", "AppendLogStore",
+        "BitString", "Caster", "ContentHashKeys", "CorruptionError",
+        "CycleDetectedError", "DuplicateTargetError", "Element",
+        "FilePerKeyStore", "FragSchema", "IdentityInterpreter", "Interpreter",
+        "InvalidRepresentationError", "Key", "KeyConflictError",
+        "KeyGenerationError", "KeyMismatchError", "LogLockedError", "LogNamer",
+        "MalformedInputError", "MalformedMessageError", "MemoryNamer",
+        "MemoryStore", "Name", "Namer", "NamerCaster", "NoWritableTargetError",
+        "NotBoundError", "ParseError", "PersonCaster", "PersonRecord",
+        "Pipeline", "PolicyMismatchError", "ProxyStore", "RandomKeys",
+        "RemoteError", "RemoteStore", "ReservedElementError", "RleCompressor",
+        "RleExpander", "SchemaError", "SchemaMismatchError",
+        "SeqOutOfRangeError", "SequenceKeys", "Store", "StoreCaster", "StoreID",
+        "StoreServer", "TargetRef", "Text", "UnknownKeyError",
+        "UnknownTargetError", "UnreachableError", "UnresolvedReferenceError",
+        "XbaseError", "XorCipher", "casters", "compose", "core", "defragment",
+        "fragment", "framedlog", "fully_collapsed_schema",
+        "fully_expanded_schema", "get_root_namer", "get_root_store", "home",
+        "interpreters", "namer", "namer_reflect", "namer_reify", "netstore",
+        "open_namer", "open_store", "person_reflect", "person_reify", "serve",
+        "store_reflect", "store_reify", "stores", "xbase_home", "xml_parse",
+        "xml_serialize", "xmldoc", "xmlfrag",
+    ]

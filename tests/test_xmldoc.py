@@ -90,7 +90,17 @@ class TestParser:
             xml_parse(b"<a>&nbsp;</a>")
 
     def test_bad_character_references(self):
-        for bad in (b"<a>&#;</a>", b"<a>&#x;</a>", b"<a>&#xD800;</a>", b"<a>&#1114112;</a>"):
+        for bad in (
+            b"<a>&#;</a>",
+            b"<a>&#x;</a>",
+            b"<a>&#xD800;</a>",
+            b"<a>&#1114112;</a>",
+            b"<a>&# 65;</a>",
+            b"<a>&#+6_5;</a>",
+            b"<a>&#x 41;</a>",
+            b"<a>&#X41;</a>",
+            "<a>&#\u0661\u0662;</a>".encode("utf-8"),
+        ):
             with pytest.raises(ParseError):
                 xml_parse(bad)
 
