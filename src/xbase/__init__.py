@@ -10,6 +10,8 @@ Typical use:
     key = store.put(b"some bytes")
     assert store.get(key) == b"some bytes"
 """
+from types import ModuleType as _ModuleType
+
 from .core import (
     BitString,
     Caster,
@@ -95,4 +97,5 @@ from .netstore import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

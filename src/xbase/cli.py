@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .casters import store_reflect, store_reify
 from .core import (
@@ -359,11 +360,18 @@ def _parse_ref(text: str) -> Key | Name:
 
 def _cmd_defrag(args) -> int:
     store, close_store = _open_selected_store(args)
-    namer, close_namer = _open_selected_namer(args)
+    opened = []  # (namer, close) once a name reference needs the namer
+
+    def lookup(name: Name) -> set[Key]:
+        if not opened:
+            opened.append(_open_selected_namer(args))
+        return opened[0][0].lookup(name)
+
     try:
-        doc = defragment(_parse_ref(args.ref), store, namer=namer)
+        doc = defragment(_parse_ref(args.ref), store, namer=SimpleNamespace(lookup=lookup))
     finally:
-        close_namer()
+        for _, close_namer in opened:
+            close_namer()
         close_store()
     sys.stdout.buffer.write(xml_serialize(doc))
     sys.stdout.buffer.flush()

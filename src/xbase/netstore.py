@@ -12,7 +12,9 @@ by an opcode-specific payload using u32 big-endian length prefixes:
 ERR codes: 0x01 UnknownKey, 0x02 KeyConflict, 0x03 KeyMismatch,
 0x04 Malformed, 0x05 Internal. One request yields exactly one response;
 requests on a connection are handled in order. Declared lengths above
-64 MiB are rejected before any allocation.
+64 MiB are rejected before any allocation. After a broken connection,
+RemoteStore resends a GET, STORE_ID or PUT_WITH_KEY once on a new one; a
+PUT, which the server may have applied, raises UnreachableError instead.
 
 The ProxyStore holds no data of its own unless given a local backing
 store: gets probe local first, then each target in insertion order,
@@ -20,12 +22,13 @@ skipping unreachable ones; puts go to one store chosen by the put policy.
 """
 from __future__ import annotations
 
+import io
 import os
 import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -135,43 +138,61 @@ class ErrResponse:
 
 
 WireMessage = (
-    PutRequest
-    | GetRequest
-    | StoreIdRequest
-    | PutWithKeyRequest
-    | KeyResponse
-    | DataResponse
-    | IdResponse
-    | ErrResponse
+    PutRequest | GetRequest | StoreIdRequest | PutWithKeyRequest
+    | KeyResponse | DataResponse | IdResponse | ErrResponse
 )
 
 
-def _lp(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
+def _put_with_key(store: Store, msg: PutWithKeyRequest) -> KeyResponse:
+    store.put_with_key(msg.value, Key(msg.key))
+    return KeyResponse(msg.key)
+
+
+# opcode -> (message type, payload fields in wire order, server handler).
+# A field is (dataclass field, kind): "bytes" is a u32 length and bytes,
+# "id" the 16-byte store id, "code" one byte, "text" a u32 length and
+# UTF-8. A response has no handler; as a request it is malformed.
+_WIRE = {
+    OP_PUT: (PutRequest, (("value", "bytes"),),
+             lambda store, msg: KeyResponse(store.put(msg.value).raw)),
+    OP_GET: (GetRequest, (("key", "bytes"),),
+             lambda store, msg: DataResponse(store.get(Key(msg.key)))),
+    OP_STORE_ID: (StoreIdRequest, (),
+                  lambda store, msg: IdResponse(store.get_store_id().raw)),
+    OP_PUT_WITH_KEY: (PutWithKeyRequest, (("key", "bytes"), ("value", "bytes")),
+                      _put_with_key),
+    OP_KEY: (KeyResponse, (("key", "bytes"),), None),
+    OP_DATA: (DataResponse, (("value", "bytes"),), None),
+    OP_ID: (IdResponse, (("store_id", "id"),), None),
+    OP_ERR: (ErrResponse, (("code", "code"), ("message", "text")), None),
+}
+_BY_TYPE = {
+    cls: (WIRE_MAGIC + bytes([opcode]), fields, handler)
+    for opcode, (cls, fields, handler) in _WIRE.items()
+}
 
 
 def encode_message(msg: WireMessage) -> bytes:
-    if isinstance(msg, PutRequest):
-        return WIRE_MAGIC + bytes([OP_PUT]) + _lp(msg.value)
-    if isinstance(msg, GetRequest):
-        return WIRE_MAGIC + bytes([OP_GET]) + _lp(msg.key)
-    if isinstance(msg, StoreIdRequest):
-        return WIRE_MAGIC + bytes([OP_STORE_ID])
-    if isinstance(msg, PutWithKeyRequest):
-        return WIRE_MAGIC + bytes([OP_PUT_WITH_KEY]) + _lp(msg.key) + _lp(msg.value)
-    if isinstance(msg, KeyResponse):
-        return WIRE_MAGIC + bytes([OP_KEY]) + _lp(msg.key)
-    if isinstance(msg, DataResponse):
-        return WIRE_MAGIC + bytes([OP_DATA]) + _lp(msg.value)
-    if isinstance(msg, IdResponse):
-        if len(msg.store_id) != 16:
-            raise ValueError("store id must be 16 bytes")
-        return WIRE_MAGIC + bytes([OP_ID]) + msg.store_id
-    if isinstance(msg, ErrResponse):
-        if not 0 <= msg.code <= 0xFF:
-            raise ValueError("error code must fit one byte")
-        return WIRE_MAGIC + bytes([OP_ERR, msg.code]) + _lp(msg.message.encode("utf-8"))
-    raise TypeError(f"not a wire message: {type(msg).__name__}")
+    try:
+        header, fields, _ = _BY_TYPE[type(msg)]
+    except KeyError:
+        raise TypeError(f"not a wire message: {type(msg).__name__}") from None
+    parts = [header]
+    for name, kind in fields:
+        value = getattr(msg, name)
+        if kind == "code":
+            if not 0 <= value <= 0xFF:
+                raise ValueError("error code must fit one byte")
+            value = bytes([value])
+        elif kind == "id":
+            if len(value) != 16:
+                raise ValueError("store id must be 16 bytes")
+        else:
+            if kind == "text":
+                value = value.encode("utf-8")
+            value = struct.pack(">I", len(value)) + value
+        parts.append(value)
+    return b"".join(parts)
 
 
 def read_message(read: Callable[[int], bytes], allow_eof: bool = False) -> WireMessage | None:
@@ -183,13 +204,12 @@ def read_message(read: Callable[[int], bytes], allow_eof: bool = False) -> WireM
 
     def need(n: int, what: str) -> bytes:
         chunks = []
-        remaining = n
-        while remaining:
-            chunk = read(remaining)
+        while n:
+            chunk = read(n)
             if not chunk:
                 raise TruncatedStreamError(f"stream ended inside {what}")
             chunks.append(chunk)
-            remaining -= len(chunk)
+            n -= len(chunk)
         return b"".join(chunks)
 
     first = read(1)
@@ -201,76 +221,56 @@ def read_message(read: Callable[[int], bytes], allow_eof: bool = False) -> WireM
     if magic != WIRE_MAGIC:
         raise MalformedMessageError(f"bad magic {magic!r}")
     opcode = need(1, "opcode")[0]
-
-    def length(what: str) -> int:
-        (n,) = struct.unpack(">I", need(4, what + " length"))
-        if n > MAX_WIRE_LEN:
-            raise MalformedMessageError(f"{what} length {n} exceeds {MAX_WIRE_LEN}")
-        return n
-
-    if opcode == OP_PUT:
-        return PutRequest(need(length("value"), "value"))
-    if opcode == OP_GET:
-        return GetRequest(need(length("key"), "key"))
-    if opcode == OP_STORE_ID:
-        return StoreIdRequest()
-    if opcode == OP_PUT_WITH_KEY:
-        key = need(length("key"), "key")
-        return PutWithKeyRequest(key, need(length("value"), "value"))
-    if opcode == OP_KEY:
-        return KeyResponse(need(length("key"), "key"))
-    if opcode == OP_DATA:
-        return DataResponse(need(length("value"), "value"))
-    if opcode == OP_ID:
-        return IdResponse(need(16, "store id"))
-    if opcode == OP_ERR:
-        code = need(1, "error code")[0]
-        raw = need(length("message"), "message")
-        try:
-            return ErrResponse(code, raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise MalformedMessageError("error message is not UTF-8") from None
-    raise MalformedMessageError(f"unknown opcode {opcode:#04x}")
+    try:
+        cls, fields, _ = _WIRE[opcode]
+    except KeyError:
+        raise MalformedMessageError(f"unknown opcode {opcode:#04x}") from None
+    values = []
+    for name, kind in fields:
+        if kind == "code":
+            value = need(1, "error code")[0]
+        elif kind == "id":
+            value = need(16, "store id")
+        else:
+            (n,) = struct.unpack(">I", need(4, name + " length"))
+            if n > MAX_WIRE_LEN:
+                raise MalformedMessageError(f"{name} length {n} exceeds {MAX_WIRE_LEN}")
+            value = need(n, name)
+            if kind == "text":
+                try:
+                    value = value.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise MalformedMessageError("error message is not UTF-8") from None
+        values.append(value)
+    return cls(*values)
 
 
 def decode_message(data: bytes) -> tuple[WireMessage, int]:
     """Decode one message from the front of data; returns (message, bytes consumed)."""
-    view = memoryview(data)
-    pos = 0
+    stream = io.BytesIO(data)
+    return read_message(stream.read), stream.tell()
 
-    def read(n: int) -> bytes:
-        nonlocal pos
-        chunk = bytes(view[pos : pos + n])
-        pos += len(chunk)
-        return chunk
 
-    msg = read_message(read)
-    return msg, pos
+# (ERR code, exception), matched in this order by the server; the client
+# raises the exception. A ValueError is malformed too; the rest internal.
+_ERRORS = (
+    (ERR_UNKNOWN_KEY, UnknownKeyError),
+    (ERR_KEY_CONFLICT, KeyConflictError),
+    (ERR_KEY_MISMATCH, KeyMismatchError),
+    (ERR_MALFORMED, MalformedMessageError),
+)
 
 
 def _error_response(exc: Exception) -> ErrResponse:
-    if isinstance(exc, UnknownKeyError):
-        code = ERR_UNKNOWN_KEY
-    elif isinstance(exc, KeyConflictError):
-        code = ERR_KEY_CONFLICT
-    elif isinstance(exc, KeyMismatchError):
-        code = ERR_KEY_MISMATCH
-    elif isinstance(exc, (MalformedMessageError, ValueError)):
-        code = ERR_MALFORMED
-    else:
-        code = ERR_INTERNAL
+    code = next((code for code, cls in _ERRORS if isinstance(exc, cls)),
+                ERR_MALFORMED if isinstance(exc, ValueError) else ERR_INTERNAL)
     return ErrResponse(code, str(exc) or type(exc).__name__)
 
 
 def _raise_remote(err: ErrResponse) -> None:
-    if err.code == ERR_UNKNOWN_KEY:
-        raise UnknownKeyError(err.message)
-    if err.code == ERR_KEY_CONFLICT:
-        raise KeyConflictError(err.message)
-    if err.code == ERR_KEY_MISMATCH:
-        raise KeyMismatchError(err.message)
-    if err.code == ERR_MALFORMED:
-        raise MalformedMessageError(err.message)
+    for code, cls in _ERRORS:
+        if err.code == code:
+            raise cls(err.message)
     raise RemoteError(f"code {err.code:#04x}: {err.message}")
 
 
@@ -314,16 +314,10 @@ class _Handler(socketserver.BaseRequestHandler):
 
     @staticmethod
     def _dispatch(store: Store, msg: WireMessage) -> WireMessage:
-        if isinstance(msg, PutRequest):
-            return KeyResponse(store.put(msg.value).raw)
-        if isinstance(msg, GetRequest):
-            return DataResponse(store.get(Key(msg.key)))
-        if isinstance(msg, StoreIdRequest):
-            return IdResponse(store.get_store_id().raw)
-        if isinstance(msg, PutWithKeyRequest):
-            store.put_with_key(msg.value, Key(msg.key))
-            return KeyResponse(msg.key)
-        raise MalformedMessageError(f"{type(msg).__name__} is not a request")
+        handler = _BY_TYPE[type(msg)][2]
+        if handler is None:
+            raise MalformedMessageError(f"{type(msg).__name__} is not a request")
+        return handler(store, msg)
 
     @staticmethod
     def _respond(wfile, response: WireMessage) -> None:
@@ -377,84 +371,75 @@ def serve(store: Store, bind_address: str | tuple[str, int]) -> StoreServer:
 
 
 class RemoteStore(Store):
-    """Store client over the wire protocol; connects lazily and retries a
-    broken connection once per call before reporting Unreachable."""
+    """Store client over the wire protocol; connects lazily, and resends
+    only a GET, STORE_ID or PUT_WITH_KEY once after a broken connection."""
 
     def __init__(self, address: str | tuple[str, int], timeout: float | None = 10.0):
         self._address = parse_address(address) if isinstance(address, str) else address
         self._timeout = timeout
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
+        self._rfile = None
         self._store_id: StoreID | None = None
 
     @property
     def address(self) -> tuple[str, int]:
         return self._address
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> None:
         try:
-            return socket.create_connection(self._address, timeout=self._timeout)
+            self._sock = socket.create_connection(self._address, timeout=self._timeout)
         except OSError as exc:
             raise UnreachableError(f"{self._address[0]}:{self._address[1]}: {exc}") from None
+        self._rfile = self._sock.makefile("rb")
 
     def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _exchange_once(self, payload: bytes) -> WireMessage:
-        assert self._sock is not None
-        self._sock.sendall(payload)
-        return read_message(lambda n: self._sock.recv(n))
-
-    def _request(self, msg: WireMessage) -> WireMessage:
-        payload = encode_message(msg)
-        with self._lock:
-            if self._sock is None:
-                self._sock = self._connect()
-            try:
-                response = self._exchange_once(payload)
-            except (OSError, TruncatedStreamError):
-                # the connection may simply have gone stale; reconnect once
-                self._drop()
-                self._sock = self._connect()
+        for f in (self._rfile, self._sock):
+            if f is not None:
                 try:
-                    response = self._exchange_once(payload)
+                    f.close()
+                except OSError:
+                    pass
+        self._sock = self._rfile = None
+
+    def _request(self, msg: WireMessage, expected: type) -> WireMessage:
+        payload = encode_message(msg)
+        # A broken connection may just be stale: resend once on a new one,
+        # but never a PUT, which the server may already have applied.
+        put = isinstance(msg, PutRequest)
+        with self._lock:
+            for final in (put, True):
+                if self._sock is None:
+                    self._connect()
+                try:
+                    self._sock.sendall(payload)
+                    response = read_message(self._rfile.read)
+                    break
                 except (OSError, TruncatedStreamError) as exc:
                     self._drop()
-                    raise UnreachableError(
-                        f"{self._address[0]}:{self._address[1]}: {exc}"
-                    ) from None
+                    if final:
+                        unknown = "; the put may or may not have been applied" if put else ""
+                        raise UnreachableError(
+                            f"{self._address[0]}:{self._address[1]}: {exc}{unknown}"
+                        ) from None
         if isinstance(response, ErrResponse):
             _raise_remote(response)
+        if not isinstance(response, expected):
+            raise RemoteError(f"unexpected response {type(response).__name__}")
         return response
 
     def put(self, value: BitString) -> Key:
-        response = self._request(PutRequest(bytes(value)))
-        if not isinstance(response, KeyResponse):
-            raise RemoteError(f"unexpected response {type(response).__name__}")
-        return Key(response.key)
+        return Key(self._request(PutRequest(bytes(value)), KeyResponse).key)
 
     def get(self, key: Key) -> BitString:
-        response = self._request(GetRequest(key.raw))
-        if not isinstance(response, DataResponse):
-            raise RemoteError(f"unexpected response {type(response).__name__}")
-        return response.value
+        return self._request(GetRequest(key.raw), DataResponse).value
 
     def put_with_key(self, value: BitString, key: Key) -> None:
-        response = self._request(PutWithKeyRequest(key.raw, bytes(value)))
-        if not isinstance(response, KeyResponse):
-            raise RemoteError(f"unexpected response {type(response).__name__}")
+        self._request(PutWithKeyRequest(key.raw, bytes(value)), KeyResponse)
 
     def get_store_id(self) -> StoreID:
         if self._store_id is None:
-            response = self._request(StoreIdRequest())
-            if not isinstance(response, IdResponse):
-                raise RemoteError(f"unexpected response {type(response).__name__}")
-            self._store_id = StoreID(response.store_id)
+            self._store_id = StoreID(self._request(StoreIdRequest(), IdResponse).store_id)
         return self._store_id
 
     def close(self) -> None:
@@ -536,10 +521,8 @@ class ProxyStore(Store):
         put_policy: str | int = "local-first",
         store_id: StoreID | None = None,
     ):
-        if not (put_policy == "local-first" or isinstance(put_policy, int)):
-            raise ValueError("put_policy must be 'local-first' or a target index")
+        self.put_policy = put_policy
         self._local = local
-        self._put_policy = put_policy
         self._id = store_id or StoreID.generate()
         self._targets: list[TargetRef] = []
         self._lock = threading.RLock()

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from xbase.cli import main
+from xbase.namer import LogNamer
 from xbase.netstore import RemoteStore, serve
 from xbase.stores import MemoryStore, open_store
 from xbase.xmldoc import xml_parse
@@ -266,6 +267,34 @@ class TestFragCommands:
         assert capsysbinary.readouterr().out.decode().strip() == "doc/library.1"
         code = main(["defrag", "--store", store_path, "--namer", namer, "doc/library.1"])
         assert code == 0
+        assert capsysbinary.readouterr().out == LIBRARY_XML
+
+    def test_key_mode_defrag_does_not_open_the_namer(
+            self, frag_files, store_path, tmp_home, capsysbinary):
+        """A key root without name references needs no namer, so another
+        opener holding the root namer does not stop the defrag."""
+        doc, schema = frag_files
+        assert main(["frag", "--store", store_path, "--schema", schema, doc]) == 0
+        root_hex = capsysbinary.readouterr().out.decode().strip()
+        tmp_home.mkdir(parents=True)
+        with LogNamer.open(tmp_home / "root.namer"):
+            assert main(["defrag", "--store", store_path, root_hex]) == 0
+        assert capsysbinary.readouterr().out == LIBRARY_XML
+
+    def test_key_root_of_name_mode_fragments_uses_the_namer(
+            self, frag_files, store_path, tmp_path, capsysbinary):
+        """The namer opens once defrag meets a name reference below a key root."""
+        doc, schema = frag_files
+        namer = str(tmp_path / "n.namer")
+        code = main([
+            "frag", "--store", store_path, "--namer", namer, "--schema", schema,
+            "--mode", "name", "--prefix", "doc", doc,
+        ])
+        assert code == 0
+        name = capsysbinary.readouterr().out.decode().strip()
+        assert main(["lookup", "--namer", namer, name]) == 0
+        root_hex = capsysbinary.readouterr().out.decode().strip()
+        assert main(["defrag", "--store", store_path, "--namer", namer, root_hex]) == 0
         assert capsysbinary.readouterr().out == LIBRARY_XML
 
     def test_name_mode_requires_prefix(self, frag_files, store_path, capsys):

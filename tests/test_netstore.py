@@ -1,6 +1,7 @@
 """Wire codec, server loopback behavior, remote client, proxy store."""
 import os
 import socket
+import socketserver
 import threading
 
 import pytest
@@ -147,8 +148,20 @@ class TestCodec:
         with pytest.raises(MalformedMessageError):
             decode_message(b"XBS1" + bytes([0x7A]))
 
-    def test_truncated_frames(self):
-        full = encode_message(PutRequest(b"\x01\x02\x03"))
+    ONE_PER_OPCODE = [
+        PutRequest(b"\x01\x02\x03"),
+        GetRequest(b"\xab"),
+        StoreIdRequest(),
+        PutWithKeyRequest(b"k", b"v"),
+        KeyResponse(b"\x01"),
+        DataResponse(b"\x02\x03"),
+        IdResponse(bytes(range(16))),
+        ErrResponse(0x01, "x"),
+    ]
+
+    @pytest.mark.parametrize("msg", ONE_PER_OPCODE, ids=lambda m: type(m).__name__)
+    def test_truncated_frames(self, msg):
+        full = encode_message(msg)
         for cut in range(len(full)):
             with pytest.raises(TruncatedStreamError):
                 decode_message(full[:cut])
@@ -311,6 +324,39 @@ class TestServerAndRemote:
             assert remote.get(key) == b"first"  # silently reconnected
         finally:
             remote.close()
+
+    def test_put_is_not_resent_after_a_broken_connection(self):
+        """The server may have applied a PUT whose connection broke; sending
+        it again would bind the value under a second sequence key."""
+        store = MemoryStore(policy="sequence")
+
+        class ApplyFirstPutThenHangUp(socketserver.StreamRequestHandler):
+            def handle(self):
+                key = store.put(read_message(self.rfile.read).value)
+                if len(store) > 1:
+                    self.wfile.write(encode_message(KeyResponse(key.raw)))
+
+        server = socketserver.TCPServer(("127.0.0.1", 0), ApplyFirstPutThenHangUp)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with RemoteStore(server.server_address, timeout=5) as remote:
+                with pytest.raises(UnreachableError, match="may or may not have been applied"):
+                    remote.put(b"once")
+            assert len(store) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_eight_mib_round_trip(self, loopback):
+        """A value much larger than the client's read buffer, read across
+        many socket reads."""
+        _, server = loopback
+        value = os.urandom(8 << 20)
+        with RemoteStore(server.address, timeout=30) as remote:
+            assert remote.get(remote.put(value)) == value
 
     def test_unreachable_endpoint(self):
         remote = RemoteStore(("127.0.0.1", _free_port()), timeout=1)
