@@ -42,6 +42,7 @@ from .stores import (
     MemoryStore,
     RandomKeys,
     SequenceKeys,
+    get_root_store,
     open_store,
 )
 from .namer import LogNamer, MemoryNamer, get_root_namer, open_namer
@@ -88,10 +89,8 @@ from .netstore import (
     RemoteError,
     RemoteStore,
     StoreServer,
-    TargetRef,
     UnknownTargetError,
     UnreachableError,
-    get_root_store,
     serve,
 )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from .core import (
     XbaseError,
 )
 from .home import xbase_home
-from .namer import LogNamer, get_root_namer, open_namer
+from .namer import get_root_namer, open_namer
 from .netstore import (
     AllTargetsUnreachableError,
     MalformedMessageError,
@@ -35,10 +36,9 @@ from .netstore import (
     RemoteStore,
     StoreServer,
     UnreachableError,
-    get_root_store,
     parse_address,
 )
-from .stores import AppendLogStore, SequenceKeys, open_store
+from .stores import AppendLogStore, SequenceKeys, get_root_store, open_store
 from .xmldoc import xml_parse, xml_serialize
 from .xmlfrag import FragSchema, MODE_NAME, defragment, fragment
 
@@ -153,25 +153,25 @@ def _is_address(text: str) -> bool:
 
 
 def _open_selected_store(args):
-    """Returns (store, close_callable). Bootstrap instances stay open."""
+    """The selected store, as a context manager that closes it on exit.
+    The root store is a bootstrap instance and stays open."""
     selection = args.store
     if selection == "root":
-        return get_root_store(args.home), lambda: None
+        return nullcontext(get_root_store(args.home))
     if selection == "proxy":
-        return _load_proxy(args.home), lambda: None
+        return _load_proxy(args.home)
     if _is_address(selection):
-        store = RemoteStore(selection)
-        return store, store.close
-    store = open_store(selection, layout=getattr(args, "layout", None),
-                       policy=getattr(args, "policy", None))
-    return store, getattr(store, "close", lambda: None)
+        return RemoteStore(selection)
+    return open_store(selection, layout=getattr(args, "layout", None),
+                      policy=getattr(args, "policy", None))
 
 
-def _open_selected_namer(args) -> tuple[LogNamer, object]:
+def _open_selected_namer(args):
+    """The selected namer, as a context manager that closes it on exit.
+    The root namer is a bootstrap instance and stays open."""
     if args.namer == "root":
-        return get_root_namer(args.home), lambda: None
-    namer = open_namer(args.namer)
-    return namer, namer.close
+        return nullcontext(get_root_namer(args.home))
+    return open_namer(args.namer)
 
 
 def _proxy_config_path(home) -> Path:
@@ -217,20 +217,14 @@ def _load_proxy(home) -> ProxyStore:
 
 def _cmd_put(args) -> int:
     value = _read_value(args)
-    store, close = _open_selected_store(args)
-    try:
+    with _open_selected_store(args) as store:
         print(store.put(value).hex)
-    finally:
-        close()
     return 0
 
 
 def _cmd_get(args) -> int:
-    store, close = _open_selected_store(args)
-    try:
+    with _open_selected_store(args) as store:
         value = store.get(Key.from_hex(args.key))
-    finally:
-        close()
     if args.out:
         Path(args.out).write_bytes(value)
     else:
@@ -241,75 +235,49 @@ def _cmd_get(args) -> int:
 
 def _cmd_put_with_key(args) -> int:
     value = _read_value(args)
-    store, close = _open_selected_store(args)
-    try:
+    with _open_selected_store(args) as store:
         store.put_with_key(value, Key.from_hex(args.key))
-    finally:
-        close()
     return 0
 
 
 def _cmd_store_id(args) -> int:
-    store, close = _open_selected_store(args)
-    try:
+    with _open_selected_store(args) as store:
         print(store.get_store_id().hex)
-    finally:
-        close()
     return 0
 
 
 def _cmd_bind(args) -> int:
-    namer, close = _open_selected_namer(args)
-    try:
+    with _open_selected_namer(args) as namer:
         namer.bind(Name(args.name), Key.from_hex(args.key))
-    finally:
-        close()
     return 0
 
 
 def _cmd_unbind(args) -> int:
-    namer, close = _open_selected_namer(args)
-    try:
+    with _open_selected_namer(args) as namer:
         namer.unbind(Name(args.name), Key.from_hex(args.key))
-    finally:
-        close()
     return 0
 
 
 def _cmd_lookup(args) -> int:
-    namer, close = _open_selected_namer(args)
-    try:
-        keys = namer.lookup(Name(args.name))
-    finally:
-        close()
-    for key_hex in sorted(k.hex for k in keys):
-        print(key_hex)
-    return 0
-
-
-def _cmd_lookup_as_of(args) -> int:
-    namer, close = _open_selected_namer(args)
-    try:
-        keys = namer.lookup_as_of(Name(args.name), args.seq)
-    finally:
-        close()
+    """Serves both lookup and lookup-as-of."""
+    with _open_selected_namer(args) as namer:
+        if args.command == "lookup-as-of":
+            keys = namer.lookup_as_of(Name(args.name), args.seq)
+        else:
+            keys = namer.lookup(Name(args.name))
     for key_hex in sorted(k.hex for k in keys):
         print(key_hex)
     return 0
 
 
 def _cmd_serve(args) -> int:
-    store = open_store(args.path)
-    server = StoreServer(store, args.address)
-    host, port = server.address
-    print(f"serving {args.path} on {host}:{port}", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        store.close()
+    with open_store(args.path) as store, StoreServer(store, args.address) as server:
+        host, port = server.address
+        print(f"serving {args.path} on {host}:{port}", file=sys.stderr)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -335,19 +303,16 @@ def _cmd_proxy(args) -> int:
 def _cmd_frag(args) -> int:
     doc = xml_parse(Path(args.doc).read_bytes())
     schema = FragSchema.from_xml(Path(args.schema).read_bytes())
-    store, close_store = _open_selected_store(args)
-    namer, close_namer = (None, lambda: None)
-    try:
+    with ExitStack() as stack:
+        store = stack.enter_context(_open_selected_store(args))
+        namer = None
         if args.mode == MODE_NAME:
             if not args.prefix:
                 raise ValueError("--prefix is required for name mode")
-            namer, close_namer = _open_selected_namer(args)
+            namer = stack.enter_context(_open_selected_namer(args))
         ref = fragment(doc, schema, store, mode=args.mode, namer=namer,
                        name_prefix=args.prefix)
-        print(ref.text if isinstance(ref, Name) else ref.hex)
-    finally:
-        close_namer()
-        close_store()
+    print(ref.text if isinstance(ref, Name) else ref.hex)
     return 0
 
 
@@ -359,31 +324,25 @@ def _parse_ref(text: str) -> Key | Name:
 
 
 def _cmd_defrag(args) -> int:
-    store, close_store = _open_selected_store(args)
-    opened = []  # (namer, close) once a name reference needs the namer
+    with ExitStack() as stack:
+        store = stack.enter_context(_open_selected_store(args))
+        namer = None  # opened once a name reference needs it
 
-    def lookup(name: Name) -> set[Key]:
-        if not opened:
-            opened.append(_open_selected_namer(args))
-        return opened[0][0].lookup(name)
+        def lookup(name: Name) -> set[Key]:
+            nonlocal namer
+            if namer is None:
+                namer = stack.enter_context(_open_selected_namer(args))
+            return namer.lookup(name)
 
-    try:
         doc = defragment(_parse_ref(args.ref), store, namer=SimpleNamespace(lookup=lookup))
-    finally:
-        for _, close_namer in opened:
-            close_namer()
-        close_store()
     sys.stdout.buffer.write(xml_serialize(doc))
     sys.stdout.buffer.flush()
     return 0
 
 
 def _cmd_export_store(args) -> int:
-    store = open_store(args.path)
-    try:
+    with open_store(args.path) as store:
         image = store_reify(store)
-    finally:
-        store.close()
     sys.stdout.buffer.write(image)
     sys.stdout.buffer.flush()
     return 0
@@ -393,16 +352,13 @@ def _cmd_import_store(args) -> int:
     if Path(args.path).exists():
         raise ValueError(f"{args.path} already exists")
     reflected = store_reflect(Path(args.image).read_bytes())
-    store = AppendLogStore.open(args.path, policy=reflected.policy.kind,
-                                store_id=reflected.get_store_id())
-    try:
+    with AppendLogStore.open(args.path, policy=reflected.policy.kind,
+                             store_id=reflected.get_store_id()) as store:
         for key, value in reflected.bindings():
             store.put_with_key(value, key)
         if isinstance(reflected.policy, SequenceKeys):
             store.policy.next_seq = max(store.policy.next_seq,
                                         reflected.policy.next_seq)
-    finally:
-        store.close()
     return 0
 
 
@@ -414,7 +370,7 @@ _COMMANDS = {
     "bind": _cmd_bind,
     "unbind": _cmd_unbind,
     "lookup": _cmd_lookup,
-    "lookup-as-of": _cmd_lookup_as_of,
+    "lookup-as-of": _cmd_lookup,
     "serve": _cmd_serve,
     "proxy": _cmd_proxy,
     "frag": _cmd_frag,

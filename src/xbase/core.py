@@ -176,13 +176,26 @@ class StoreID:
         return f"StoreID({self.raw.hex()})"
 
 
-class Store(abc.ABC):
+class _Closeable:
+    """close() releases what an instance holds; ``with`` closes on exit."""
+
+    def close(self) -> None:
+        """Release what this instance holds; a no-op unless it holds something."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class Store(_Closeable, abc.ABC):
     """Append-only map from keys to bit-strings.
 
     The binding set only ever grows: there are no update or deletion
     operations, so every key ever issued stays retrievable with its
     original value. Update semantics, where needed, are layered on top by
-    namers.
+    namers. Every store supports close() and ``with``.
     """
 
     @abc.abstractmethod
@@ -239,12 +252,13 @@ class Interpreter(abc.ABC):
     def interpret(self, data: BitString) -> BitString: ...
 
 
-class Namer(abc.ABC):
+class Namer(_Closeable, abc.ABC):
     """Modifiable many-to-many mapping between symbolic names and keys.
 
     A name may be bound to several keys and a key to several names. This is
     the only locus of update semantics: rebinding a name (unbind then bind)
     changes what it resolves to while nothing in any store is discarded.
+    Every namer supports close() and ``with``.
     """
 
     @abc.abstractmethod

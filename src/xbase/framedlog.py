@@ -181,9 +181,3 @@ class FramedLog:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

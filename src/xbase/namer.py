@@ -39,7 +39,7 @@ from .core import (
     check_name,
 )
 from .framedlog import FramedLog, LogFormat
-from .home import ROOT_NAMER_FILENAME, xbase_home
+from .home import ROOT_NAMER_FILENAME, open_root
 
 NAMER_MAGIC = b"XNM1"
 NAMER_VERSION = 0x01
@@ -72,16 +72,24 @@ class BindingRecord:
 class MemoryNamer(Namer):
     """Transient namer holding its bindings solely in memory."""
 
-    _closed = False  # only a persistent namer closes
-
     def __init__(self, namer_id: StoreID | None = None):
         self._id = namer_id or StoreID.generate()
         self._bindings: dict[Name, set[Key]] = {}
         self._lock = threading.RLock()
+        self._closed = False
 
     @property
     def namer_id(self) -> StoreID:
         return self._id
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def close(self) -> None:
+        """Mark the namer closed; every later operation raises ValueError."""
+        with self._lock:
+            self._closed = True
 
     def bind(self, name: Name, key: Key) -> None:
         check_name(name)
@@ -205,20 +213,10 @@ def open_namer(path: str | os.PathLike) -> LogNamer:
     return LogNamer.open(path)
 
 
-_root_namers: dict[Path, LogNamer] = {}
-_root_lock = threading.Lock()
-
-
 def get_root_namer(home: str | os.PathLike | None = None) -> LogNamer:
     """The per-actor bootstrap namer at <home>/root.namer.
 
     Repeated calls in one process return the same instance for the same
     resolved home directory.
     """
-    path = xbase_home(home) / ROOT_NAMER_FILENAME
-    with _root_lock:
-        namer = _root_namers.get(path)
-        if namer is None or namer._closed:
-            namer = LogNamer.open(path)
-            _root_namers[path] = namer
-        return namer
+    return open_root(ROOT_NAMER_FILENAME, LogNamer.open, home)

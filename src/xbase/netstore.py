@@ -16,14 +16,18 @@ requests on a connection are handled in order. Declared lengths above
 RemoteStore resends a GET, STORE_ID or PUT_WITH_KEY once on a new one; a
 PUT, which the server may have applied, raises UnreachableError instead.
 
+A response that fails to decode drops the connection, as its framing is
+lost; the next request goes out on a new one.
+
 The ProxyStore holds no data of its own unless given a local backing
-store: gets probe local first, then each target in insertion order,
-skipping unreachable ones; puts go to one store chosen by the put policy.
+store. Its targets are plain stores; a "host:port" address becomes a
+RemoteStore that the proxy owns and closes. Gets probe local first, then
+each target in insertion order, skipping unreachable ones; puts go to one
+store chosen by the put policy.
 """
 from __future__ import annotations
 
 import io
-import os
 import socket
 import socketserver
 import struct
@@ -41,8 +45,6 @@ from .core import (
     UnknownKeyError,
     XbaseError,
 )
-from .home import ROOT_STORE_FILENAME, xbase_home
-from .stores import AppendLogStore
 
 WIRE_MAGIC = b"XBS1"
 MAX_WIRE_LEN = 1 << 26  # 64 MiB cap on any declared length
@@ -422,6 +424,9 @@ class RemoteStore(Store):
                         raise UnreachableError(
                             f"{self._address[0]}:{self._address[1]}: {exc}{unknown}"
                         ) from None
+                except MalformedMessageError:
+                    self._drop()  # framing is lost
+                    raise
         if isinstance(response, ErrResponse):
             _raise_remote(response)
         if not isinstance(response, expected):
@@ -443,50 +448,9 @@ class RemoteStore(Store):
         return self._store_id
 
     def close(self) -> None:
+        """Drop the connection; a later request opens a new one."""
         with self._lock:
             self._drop()
-
-    def __enter__(self) -> "RemoteStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-@dataclass
-class TargetRef:
-    """One proxy target: an in-process store or a remote address."""
-
-    address: str | None = None
-    store: Store | None = None
-    store_id: StoreID | None = None  # cached once known
-
-    def __post_init__(self):
-        if (self.address is None) == (self.store is None):
-            raise ValueError("a target is either an address or a store, not both")
-
-    @classmethod
-    def remote(cls, address: str) -> "TargetRef":
-        parse_address(address)  # validate early
-        return cls(address=address)
-
-    @classmethod
-    def in_process(cls, store: Store) -> "TargetRef":
-        return cls(store=store)
-
-    @property
-    def label(self) -> str:
-        return self.address if self.address is not None else f"store:{id(self.store):#x}"
-
-    def connect(self) -> Store:
-        if self.store is None:
-            self.store = RemoteStore(self.address)
-        return self.store
-
-    def matches(self, other: "TargetRef") -> bool:
-        if self.address is not None:
-            return self.address == other.address
-        return other.store is not None and self.store is other.store
 
 
 @dataclass(frozen=True)
@@ -497,14 +461,22 @@ class ProbeRecord:
     outcome: str  # "hit" | "miss" | "unreachable"
 
 
-def _coerce_target(target) -> TargetRef:
-    if isinstance(target, TargetRef):
-        return target
+def _target_identity(target: Store | str) -> Store | tuple[str, int]:
+    """What makes two targets the same: the (host, port) of an address or
+    a RemoteStore, else the store object itself."""
     if isinstance(target, str):
-        return TargetRef.remote(target)
+        return parse_address(target)
+    if isinstance(target, RemoteStore):
+        return target.address
     if isinstance(target, Store):
-        return TargetRef.in_process(target)
-    raise TypeError("target must be a TargetRef, address string, or Store")
+        return target
+    raise TypeError("target must be an address string or a Store")
+
+
+def _label(identity: Store | tuple[str, int]) -> str:
+    if isinstance(identity, tuple):
+        return f"{identity[0]}:{identity[1]}"
+    return f"store:{id(identity):#x}"
 
 
 class ProxyStore(Store):
@@ -512,7 +484,8 @@ class ProxyStore(Store):
 
     Gets are local-first, then insertion order over targets; puts go to
     exactly one store picked by put_policy ("local-first" or an integer
-    target index).
+    target index). close() closes the RemoteStores made from addresses;
+    the local store and stores passed in as targets stay open.
     """
 
     def __init__(
@@ -524,7 +497,8 @@ class ProxyStore(Store):
         self.put_policy = put_policy
         self._local = local
         self._id = store_id or StoreID.generate()
-        self._targets: list[TargetRef] = []
+        self._targets: list[Store] = []
+        self._owned: list[RemoteStore] = []  # made here from addresses
         self._lock = threading.RLock()
 
     @property
@@ -541,27 +515,43 @@ class ProxyStore(Store):
     def local(self) -> Store | None:
         return self._local
 
-    def targets(self) -> list[TargetRef]:
+    def targets(self) -> list[Store]:
         with self._lock:
             return list(self._targets)
 
-    def add_target(self, target) -> TargetRef:
-        ref = _coerce_target(target)
-        with self._lock:
-            for existing in self._targets:
-                if existing.matches(ref):
-                    raise DuplicateTargetError(f"target {ref.label} already present")
-            self._targets.append(ref)
-        return ref
+    def _index_of(self, identity: Store | tuple[str, int]) -> int | None:
+        for i, existing in enumerate(self._targets):
+            if _target_identity(existing) == identity:
+                return i
+        return None
 
-    def remove_target(self, target) -> None:
-        ref = _coerce_target(target)
+    def add_target(self, target: Store | str) -> Store:
+        """Register a store, or a "host:port" address as a RemoteStore;
+        return the store registered."""
+        identity = _target_identity(target)
         with self._lock:
-            for i, existing in enumerate(self._targets):
-                if existing.matches(ref):
-                    del self._targets[i]
-                    return
-        raise UnknownTargetError(f"target {ref.label} is not registered")
+            if self._index_of(identity) is not None:
+                raise DuplicateTargetError(f"target {_label(identity)} already present")
+            if isinstance(target, str):
+                target = RemoteStore(identity)
+                self._owned.append(target)
+            self._targets.append(target)
+        return target
+
+    def remove_target(self, target: Store | str) -> None:
+        identity = _target_identity(target)
+        with self._lock:
+            i = self._index_of(identity)
+            if i is None:
+                raise UnknownTargetError(f"target {_label(identity)} is not registered")
+            removed = self._targets.pop(i)
+            self._owned = [s for s in self._owned if s is not removed]
+
+    def close(self) -> None:
+        with self._lock:
+            owned = list(self._owned)
+        for store in owned:
+            store.close()
 
     def get_store_id(self) -> StoreID:
         return self._id  # the proxy is a store instance in its own right
@@ -569,16 +559,15 @@ class ProxyStore(Store):
     def get_with_trace(self, key: Key) -> tuple[BitString, list[ProbeRecord]]:
         """Like get, but also returns the probe trace. On failure the raised
         error carries the trace as a .trace attribute."""
-        candidates: list[tuple[str, Store | TargetRef]] = []
+        candidates: list[tuple[str, Store]] = []
         if self._local is not None:
             candidates.append(("local", self._local))
-        for ref in self.targets():  # snapshot taken at call start
-            candidates.append((ref.label, ref))
+        for store in self.targets():  # snapshot taken at call start
+            candidates.append((_label(_target_identity(store)), store))
         trace: list[ProbeRecord] = []
         queried = 0
-        for label, backend in candidates:
+        for label, store in candidates:
             try:
-                store = backend.connect() if isinstance(backend, TargetRef) else backend
                 value = store.get(key)
             except UnknownKeyError:
                 trace.append(ProbeRecord(label, "miss"))
@@ -610,13 +599,13 @@ class ProxyStore(Store):
             if self._local is not None:
                 return self._local
             if targets:
-                return targets[0].connect()
+                return targets[0]
             raise NoWritableTargetError("no local store and no targets")
         if not 0 <= policy < len(targets):
             raise NoWritableTargetError(
                 f"target index {policy} out of range, have {len(targets)}"
             )
-        return targets[policy].connect()
+        return targets[policy]
 
     def put(self, value: BitString) -> Key:
         return self._put_target().put(value)
@@ -626,34 +615,15 @@ class ProxyStore(Store):
 
     def store_for_id(self, store_id: StoreID) -> Store | None:
         """Resolve a StoreID against this proxy's registry: its own id, the
-        local store, then each target (ids cached once learned)."""
+        local store, then each reachable target."""
         if store_id.raw == self._id.raw:
             return self
         if self._local is not None and self._local.get_store_id().raw == store_id.raw:
             return self._local
-        for ref in self.targets():
+        for store in self.targets():
             try:
-                if ref.store_id is None:
-                    ref.store_id = ref.connect().get_store_id()
+                if store.get_store_id().raw == store_id.raw:
+                    return store
             except (UnreachableError, OSError):
                 continue
-            if ref.store_id.raw == store_id.raw:
-                return ref.connect()
         return None
-
-
-_root_stores: dict = {}
-_root_lock = threading.Lock()
-
-
-def get_root_store(home: str | os.PathLike | None = None) -> AppendLogStore:
-    """The per-actor bootstrap store at <home>/root.store: an append-log
-    store with content-hash keys, created on first use. Repeated calls in
-    one process return the same instance for the same resolved home."""
-    path = xbase_home(home) / ROOT_STORE_FILENAME
-    with _root_lock:
-        store = _root_stores.get(path)
-        if store is None or store.closed:
-            store = AppendLogStore.open(path, policy="content-hash")
-            _root_stores[path] = store
-        return store

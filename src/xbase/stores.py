@@ -47,6 +47,7 @@ from .core import (
     check_value,
 )
 from .framedlog import FramedLog, LogFormat
+from .home import ROOT_STORE_FILENAME, open_root
 
 LOG_MAGIC = b"XLG1"
 FORMAT_VERSION = 0x01
@@ -219,6 +220,11 @@ class LocalStore(Store):
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def close(self) -> None:
+        """Mark the store closed; every later operation raises ValueError."""
+        with self._lock:
+            self._closed = True
 
     def __len__(self) -> int:
         with self._lock:
@@ -437,16 +443,6 @@ class FilePerKeyStore(LocalStore):
     def path(self) -> Path:
         return self._dir
 
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-
-    def __enter__(self) -> FilePerKeyStore:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def _scan_value_files(directory: Path) -> dict[bytes, Path]:
     entries: dict[bytes, Path] = {}
@@ -504,3 +500,11 @@ def open_store(
     raise ValueError(
         f"unknown layout {layout!r}; expected {LAYOUT_APPEND_LOG!r} or {LAYOUT_FILE_PER_KEY!r}"
     )
+
+
+def get_root_store(home: str | os.PathLike | None = None) -> AppendLogStore:
+    """The per-actor bootstrap store at <home>/root.store: an append-log
+    store with content-hash keys, created on first use. Repeated calls in
+    one process return the same instance for the same resolved home."""
+    return open_root(ROOT_STORE_FILENAME,
+                     lambda path: AppendLogStore.open(path, policy="content-hash"), home)

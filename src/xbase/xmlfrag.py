@@ -244,17 +244,9 @@ StoreResolver = Callable[[StoreID], Store]
 class _DefragContext:
     namer: Namer | None
     store_resolver: StoreResolver | None
-    store_ids: dict[int, bytes] = field(default_factory=dict)
-
-    def store_id_of(self, store: Store) -> bytes:
-        cached = self.store_ids.get(id(store))
-        if cached is None:
-            cached = store.get_store_id().raw
-            self.store_ids[id(store)] = cached
-        return cached
 
     def resolve_store(self, sid: StoreID, current: Store) -> Store:
-        if self.store_id_of(current) == sid.raw:
+        if current.get_store_id().raw == sid.raw:
             return current
         if self.store_resolver is not None:
             resolved = self.store_resolver(sid)
@@ -326,7 +318,7 @@ def _resolve_children(element: Element, store: Store, ctx: _DefragContext, on_pa
 
 
 def _load_fragment(key: Key, store: Store, ctx: _DefragContext, on_path: set) -> Element:
-    node_id = (ctx.store_id_of(store), key.raw)
+    node_id = (store.get_store_id().raw, key.raw)
     if node_id in on_path:
         raise CycleDetectedError(f"fragment {key.hex} references itself")
     root = xml_parse(store.get(key))

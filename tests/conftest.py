@@ -62,12 +62,14 @@ class HalfWriteFile:
 
 @pytest.fixture
 def tmp_home(tmp_path, monkeypatch):
-    """Isolated data directory: XBASE_HOME plus cleared bootstrap caches."""
+    """Isolated data directory: XBASE_HOME plus an empty bootstrap registry,
+    whose root stores and namers are closed at teardown."""
     home = tmp_path / "home"
     monkeypatch.setenv("XBASE_HOME", str(home))
-    import xbase.namer
-    import xbase.netstore
+    import xbase.home
 
-    monkeypatch.setattr(xbase.netstore, "_root_stores", {})
-    monkeypatch.setattr(xbase.namer, "_root_namers", {})
-    return home
+    roots = {}
+    monkeypatch.setattr(xbase.home, "_roots", roots)
+    yield home
+    for root in roots.values():
+        root.close()

@@ -386,8 +386,8 @@ def test_c10_wire_proxy_suite(tmp_path):
     west = MemoryStore(policy="content-hash")
     east_server = serve(east, ("127.0.0.1", 0))
     west_server = serve(west, ("127.0.0.1", 0))
+    proxy = ProxyStore(local=MemoryStore(policy="random"))
     try:
-        proxy = ProxyStore(local=MemoryStore(policy="random"))
         proxy.add_target(f"127.0.0.1:{east_server.address[1]}")
         proxy.add_target(f"127.0.0.1:{west_server.address[1]}")
         east_key = east.put(b"held in the east")
@@ -433,6 +433,7 @@ def test_c10_wire_proxy_suite(tmp_path):
         finally:
             shared_server.stop()
     finally:
+        proxy.close()
         east_server.stop()
         west_server.stop()
 

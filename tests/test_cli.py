@@ -363,26 +363,26 @@ def test_serve_command_subprocess(tmp_path):
     store_path = tmp_path / "served.store"
     assert main(["put", "--store", str(store_path), "--hex", "aa"]) == 0
     port = _free_port()
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "xbase", "serve", str(store_path), f"127.0.0.1:{port}"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        deadline = time.monotonic() + 10
-        remote = None
-        while time.monotonic() < deadline:
-            try:
-                remote = RemoteStore(("127.0.0.1", port), timeout=2)
-                remote.get_store_id()
-                break
-            except Exception:
-                remote = None
-                time.sleep(0.05)
-        assert remote is not None, "server never came up"
-        key = remote.put(b"via subprocess")
-        assert remote.get(key) == b"via subprocess"
-        remote.close()
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 10
+            remote = None
+            while time.monotonic() < deadline:
+                try:
+                    remote = RemoteStore(("127.0.0.1", port), timeout=2)
+                    remote.get_store_id()
+                    break
+                except Exception:
+                    remote = None
+                    time.sleep(0.05)
+            assert remote is not None, "server never came up"
+            with remote:
+                key = remote.put(b"via subprocess")
+                assert remote.get(key) == b"via subprocess"
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)

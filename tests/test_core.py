@@ -143,7 +143,7 @@ def test_public_surface_is_pinned():
         "RemoteError", "RemoteStore", "ReservedElementError", "RleCompressor",
         "RleExpander", "SchemaError", "SchemaMismatchError",
         "SeqOutOfRangeError", "SequenceKeys", "Store", "StoreCaster",
-        "StoreID", "StoreServer", "TargetRef", "Text", "UnknownKeyError",
+        "StoreID", "StoreServer", "Text", "UnknownKeyError",
         "UnknownTargetError", "UnreachableError", "UnresolvedReferenceError",
         "XbaseError", "XorCipher", "compose", "defragment", "fragment",
         "fully_collapsed_schema", "fully_expanded_schema", "get_root_namer",

@@ -94,6 +94,16 @@ class TestSemantics:
         assert namer.lookup(Name("b")) == {K2}
 
 
+    def test_with_closes_the_namer(self, namer):
+        with namer as entered:
+            assert entered is namer and not namer.closed
+            namer.bind(N, K1)
+        assert namer.closed
+        with pytest.raises(ValueError):
+            namer.lookup(N)
+        namer.close()  # a second close does nothing
+
+
 class TestLogFormat:
     def test_golden_log_bytes(self, tmp_path):
         """Exact file bytes for one BIND and one UNBIND, built from the

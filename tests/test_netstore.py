@@ -36,18 +36,16 @@ from xbase.netstore import (
     RemoteStore,
     StoreIdRequest,
     StoreServer,
-    TargetRef,
     TruncatedStreamError,
     UnknownTargetError,
     UnreachableError,
     decode_message,
     encode_message,
-    get_root_store,
     parse_address,
     read_message,
     serve,
 )
-from xbase.stores import MemoryStore
+from xbase.stores import MemoryStore, get_root_store
 
 
 def _free_port() -> int:
@@ -307,6 +305,15 @@ class TestServerAndRemote:
         finally:
             server.stop()
 
+    def test_with_drops_the_connection(self, loopback):
+        _, server = loopback
+        with RemoteStore(server.address, timeout=5) as remote:
+            key = remote.put(b"v")
+            assert remote._sock is not None
+        assert remote._sock is None
+        assert remote.get(key) == b"v"  # a later request connects again
+        remote.close()
+
     def test_several_requests_per_connection(self, loopback):
         _, server = loopback
         with RemoteStore(server.address, timeout=5) as remote:
@@ -344,6 +351,37 @@ class TestServerAndRemote:
                 with pytest.raises(UnreachableError, match="may or may not have been applied"):
                     remote.put(b"once")
             assert len(store) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_connection_dropped_after_a_malformed_response(self):
+        """A response with bad magic leaves the rest of its frame unread;
+        the next request must not read those bytes as its answer."""
+        connections, answered = [], []
+
+        class BadMagicFirst(socketserver.StreamRequestHandler):
+            def handle(self):
+                connections.append(self.client_address)
+                while read_message(self.rfile.read, allow_eof=True) is not None:
+                    frame = encode_message(DataResponse(b"good"))
+                    if not answered:
+                        frame = b"XBS2" + frame[4:]
+                    answered.append(frame)
+                    self.wfile.write(frame)
+
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), BadMagicFirst)
+        server.daemon_threads = True
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with RemoteStore(server.server_address, timeout=5) as remote:
+                with pytest.raises(MalformedMessageError, match="bad magic b'XBS2'"):
+                    remote.get(Key(b"\x01"))
+                assert remote.get(Key(b"\x01")) == b"good"
+            assert len(connections) == 2
         finally:
             server.shutdown()
             server.server_close()
@@ -403,43 +441,68 @@ class TestServerAndRemote:
                 assert remote.get_store_id() == store.get_store_id()
 
 
-class TestTargetRef:
-    def test_exactly_one_backing(self):
-        with pytest.raises(ValueError):
-            TargetRef()
-        with pytest.raises(ValueError):
-            TargetRef(address="h:1", store=MemoryStore(policy="random"))
-
-    def test_remote_validates_address(self):
-        with pytest.raises(ValueError):
-            TargetRef.remote("no-port")
-
-    def test_matching(self):
-        store = MemoryStore(policy="random")
-        assert TargetRef.remote("h:1").matches(TargetRef.remote("h:1"))
-        assert not TargetRef.remote("h:1").matches(TargetRef.remote("h:2"))
-        assert TargetRef.in_process(store).matches(TargetRef.in_process(store))
-        assert not TargetRef.in_process(store).matches(
-            TargetRef.in_process(MemoryStore(policy="random"))
-        )
-
-    def test_in_process_connect_is_identity(self):
-        store = MemoryStore(policy="random")
-        assert TargetRef.in_process(store).connect() is store
-
-
 class TestProxyStore:
     def test_target_bookkeeping(self):
         proxy = ProxyStore()
-        proxy.add_target("h:1")
-        proxy.add_target(MemoryStore(policy="random"))
-        assert len(proxy.targets()) == 2
+        remote = proxy.add_target("h:1")
+        store = MemoryStore(policy="random")
+        assert proxy.add_target(store) is store
+        assert proxy.targets() == [remote, store]
+        assert isinstance(remote, RemoteStore) and remote.address == ("h", 1)
         with pytest.raises(DuplicateTargetError):
             proxy.add_target("h:1")
         proxy.remove_target("h:1")
-        assert len(proxy.targets()) == 1
+        assert proxy.targets() == [store]
         with pytest.raises(UnknownTargetError):
             proxy.remove_target("h:1")
+
+    def test_address_without_port_registers_nothing(self):
+        proxy = ProxyStore()
+        with pytest.raises(ValueError):
+            proxy.add_target("no-port")
+        assert proxy.targets() == []
+
+    def test_same_address_or_same_store_is_a_duplicate(self):
+        store = MemoryStore(policy="random")
+        proxy = ProxyStore()
+        proxy.add_target("h:1")
+        proxy.add_target(store)
+        for again in ("h:01", RemoteStore(("h", 1)), store):
+            with pytest.raises(DuplicateTargetError):
+                proxy.add_target(again)
+        proxy.add_target("h:2")
+        proxy.add_target(MemoryStore(policy="random"))
+        assert len(proxy.targets()) == 4
+
+    def test_other_target_types_rejected(self):
+        proxy = ProxyStore()
+        for bad in (("h", 1), 42, None):
+            with pytest.raises(TypeError):
+                proxy.add_target(bad)
+            with pytest.raises(TypeError):
+                proxy.remove_target(bad)
+        assert proxy.targets() == []
+
+    def test_close_closes_only_the_remote_stores_it_made(self, loopback):
+        """Passed-in stores and targets removed before close stay open."""
+        _, server = loopback
+        with serve(MemoryStore(), ("127.0.0.1", 0)) as second, \
+                serve(MemoryStore(), ("127.0.0.1", 0)) as third:
+            passed_in = RemoteStore(second.address, timeout=5)
+            with ProxyStore(put_policy=1) as proxy:
+                made = proxy.add_target(f"127.0.0.1:{server.address[1]}")
+                proxy.add_target(passed_in)
+                removed = proxy.add_target(f"127.0.0.1:{third.address[1]}")
+                key = proxy.put(b"v")
+                # a miss on made, a hit on passed_in
+                assert proxy.get_with_trace(key)[0] == b"v"
+                removed.get_store_id()
+                proxy.remove_target(removed)
+                assert None not in (made._sock, passed_in._sock, removed._sock)
+            assert made._sock is None
+            assert passed_in._sock is not None and removed._sock is not None
+            passed_in.close()
+            removed.close()
 
     def test_local_first_probe_order_with_trace(self):
         local = MemoryStore(policy="random")
@@ -474,7 +537,7 @@ class TestProxyStore:
         dead = f"127.0.0.1:{_free_port()}"
         backing = MemoryStore(policy="random")
         proxy = ProxyStore()
-        proxy.add_target(TargetRef(address=dead))
+        proxy.add_target(dead)
         proxy.add_target(backing)
         key = backing.put(b"found anyway")
         value, trace = proxy.get_with_trace(key)
@@ -560,13 +623,13 @@ class TestProxyStore:
         backing = MemoryStore(policy="sequence")
         server = serve(backing, ("127.0.0.1", 0))
         try:
-            proxy = ProxyStore(local=MemoryStore(policy="random"))
-            proxy.add_target(f"127.0.0.1:{server.address[1]}")
-            key = backing.put(b"remote payload")
-            value, trace = proxy.get_with_trace(key)
-            assert value == b"remote payload"
-            assert [p.outcome for p in trace] == ["miss", "hit"]
-            assert proxy.store_for_id(backing.get_store_id()) is not None
+            with ProxyStore(local=MemoryStore(policy="random")) as proxy:
+                proxy.add_target(f"127.0.0.1:{server.address[1]}")
+                key = backing.put(b"remote payload")
+                value, trace = proxy.get_with_trace(key)
+                assert value == b"remote payload"
+                assert [p.outcome for p in trace] == ["miss", "hit"]
+                assert proxy.store_for_id(backing.get_store_id()) is not None
         finally:
             server.stop()
 

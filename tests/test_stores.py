@@ -71,11 +71,22 @@ def test_crc_reference_matches_check_value_and_zlib():
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_round_trip_all_layouts_and_policies(layout, policy, tmp_path):
-    store = make_store(layout, tmp_path, policy)
-    values = [b"", b"\x00", b"hello", bytes(range(256)) * 3]
-    keys = [store.put(v) for v in values]
-    for key, value in zip(keys, values):
-        assert store.get(key) == value
+    with make_store(layout, tmp_path, policy) as store:
+        values = [b"", b"\x00", b"hello", bytes(range(256)) * 3]
+        keys = [store.put(v) for v in values]
+        for key, value in zip(keys, values):
+            assert store.get(key) == value
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_with_closes_the_store(layout, tmp_path):
+    with make_store(layout, tmp_path, "sequence") as store:
+        key = store.put(b"v")
+        assert not store.closed
+    assert store.closed
+    with pytest.raises(ValueError):
+        store.get(key)
+    store.close()  # a second close does nothing
 
 
 def test_golden_append_log_bytes(tmp_path):
@@ -106,8 +117,8 @@ def test_header_constants():
 
 class TestSequencePolicy:
     def test_first_key_is_one(self, tmp_path):
-        store = make_store("append-log", tmp_path, "sequence")
-        assert store.put(b"\xde\xad\xbe\xef").hex == "0000000000000001"
+        with make_store("append-log", tmp_path, "sequence") as store:
+            assert store.put(b"\xde\xad\xbe\xef").hex == "0000000000000001"
 
     def test_keys_strictly_increase(self):
         store = MemoryStore(policy="sequence")
@@ -145,19 +156,19 @@ class TestContentHashPolicy:
         assert store.put(b"").hex == SHA256_EMPTY
 
     def test_two_stores_agree(self, tmp_path):
-        a = make_store("append-log", tmp_path, "content-hash", "a")
-        b = make_store("file-per-key", tmp_path, "content-hash", "b")
-        for value in (b"", b"x", os.urandom(100)):
-            assert a.put(value) == b.put(value)
+        with make_store("append-log", tmp_path, "content-hash", "a") as a, \
+                make_store("file-per-key", tmp_path, "content-hash", "b") as b:
+            for value in (b"", b"x", os.urandom(100)):
+                assert a.put(value) == b.put(value)
 
     def test_dedup_appends_nothing(self, tmp_path):
-        store = make_store("append-log", tmp_path, "content-hash")
-        key1 = store.put(b"same")
-        size = store.path.stat().st_size
-        key2 = store.put(b"same")
-        assert key1 == key2
-        assert store.path.stat().st_size == size
-        assert len(store) == 1
+        with make_store("append-log", tmp_path, "content-hash") as store:
+            key1 = store.put(b"same")
+            size = store.path.stat().st_size
+            key2 = store.put(b"same")
+            assert key1 == key2
+            assert store.path.stat().st_size == size
+            assert len(store) == 1
 
     def test_put_with_key_requires_digest(self):
         store = MemoryStore(policy="content-hash")
@@ -226,9 +237,9 @@ class TestRandomPolicy:
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_get_unknown_key_fails(layout, tmp_path):
-    store = make_store(layout, tmp_path, "random")
-    with pytest.raises(UnknownKeyError):
-        store.get(Key(b"\x01" * 16))
+    with make_store(layout, tmp_path, "random") as store:
+        with pytest.raises(UnknownKeyError):
+            store.get(Key(b"\x01" * 16))
 
 
 def test_monotonicity_under_many_puts():
@@ -241,14 +252,14 @@ def test_monotonicity_under_many_puts():
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_put_with_key_semantics(layout, tmp_path):
-    store = make_store(layout, tmp_path, "random")
-    key = Key(b"\x42" * 3)
-    store.put_with_key(b"v1", key)
-    assert store.get(key) == b"v1"
-    store.put_with_key(b"v1", key)  # identical binding: no-op
-    with pytest.raises(KeyConflictError):
-        store.put_with_key(b"v2", key)
-    assert store.get(key) == b"v1"
+    with make_store(layout, tmp_path, "random") as store:
+        key = Key(b"\x42" * 3)
+        store.put_with_key(b"v1", key)
+        assert store.get(key) == b"v1"
+        store.put_with_key(b"v1", key)  # identical binding: no-op
+        with pytest.raises(KeyConflictError):
+            store.put_with_key(b"v2", key)
+        assert store.get(key) == b"v1"
 
 
 @pytest.mark.parametrize("layout", ("append-log", "file-per-key"))
