@@ -10,10 +10,28 @@ the final record, is a torn tail, which open cuts off; a CRC mismatch
 anywhere earlier raises CorruptionError. Each append reaches the OS before
 it returns; the log is fsynced only at close. Open takes an exclusive flock:
 a second opener, in this process or another, gets LogLockedError.
+
+Checkpointed open (Bitcask's hint file): close, still holding the lock,
+fsyncs the log and then writes a derived sidecar <log>.hint through a
+temporary file and os.replace. The sidecar holds a format byte, the log id,
+the end offset it covers, the CRC32 of the whole log prefix [0, end), the
+host's replay state at that offset (a store's keydir, a namer's bindings
+and per-name history), and a CRC32 of the sidecar itself. Open trusts it
+only if its own CRC holds, it decodes to the expected shape, the ids match,
+the log is at least end bytes long, and one chunked CRC32 pass over
+[0, end) gives the stored prefix CRC; it then replays only the records past
+end, under the rules above. Anything else falls back to a full replay, so a
+changed byte anywhere in the log raises the same CorruptionError with or
+without a hint. A close rewrites the sidecar only when the log has grown
+past what a trusted hint covered, or no hint was trusted. The sidecar is
+never fsynced and is safe to delete; a torn one fails its own CRC.
 """
 from __future__ import annotations
 
+import contextlib
 import fcntl
+import logging
+import marshal
 import os
 import struct
 import zlib
@@ -22,6 +40,11 @@ from pathlib import Path
 from typing import Iterator
 
 from .core import CorruptionError, LogLockedError, StoreID
+
+logger = logging.getLogger(__name__)
+
+HINT_FORMAT = 0x01
+_CRC_CHUNK = 1 << 18  # bytes per read of the prefix CRC pass
 
 
 @dataclass(frozen=True)
@@ -66,9 +89,25 @@ class LogFormat:
         return zlib.crc32(second, zlib.crc32(first))
 
 
+def _crc32_range(reader, start: int, end: int, crc: int) -> int:
+    """Extend crc over bytes [start, end) of reader, read in chunks."""
+    reader.seek(start)
+    buf = memoryview(bytearray(min(_CRC_CHUNK, end - start)))
+    while start < end:
+        n = reader.readinto(buf[: end - start])
+        if not n:
+            raise CorruptionError(f"{reader.name}: shorter than {end} bytes")
+        crc = zlib.crc32(buf[:n], crc)
+        start += n
+    return crc
+
+
 class FramedLog:
     """Mixin owning one log file, appended through an unbuffered O_APPEND
-    handle. The host class sets _format and provides _lock and _closed.
+    handle. The host class sets _format and provides _id, _lock and _closed,
+    plus _hint_state() -> its replay state as a marshal-able value, and
+    _restore_hint(state), which installs such a state, or raises TypeError
+    or ValueError, changing nothing, when the state has the wrong shape.
 
     _append_bytes writes one record whole or not at all: if the write fails
     partway (say ENOSPC), the file is cut back to where the record began
@@ -83,13 +122,15 @@ class FramedLog:
         """Open and lock the log at path; a missing or empty file gets a
         header of log_id and extra. Of an existing log, replay(header,
         records) gets the checked (log id, extra bytes) and an iterator over
-        the whole records, each (start, prefix, first, second, end), which
-        it must exhaust; a torn tail is then cut off. If anything fails, the
-        file is closed again."""
+        the whole records past a trusted hint (all of them if none), each
+        (start, prefix, first, second, end), which it must exhaust; a torn
+        tail is then cut off. If anything fails, the file is closed again."""
         path.parent.mkdir(parents=True, exist_ok=True)
         self._path = path
         self._fh = open(path, "a+b", buffering=0)
         self._torn = False
+        self._crc = 0  # CRC32 of the log bytes [0, _end_offset)
+        self._hint_end = 0  # the end a trusted hint covers; 0 when none was
         try:
             try:
                 fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -101,24 +142,90 @@ class FramedLog:
                 return
             with open(path, "rb") as reader:
                 header = self._format.check_header(reader.read(self._format.header_len), str(path))
-                replay(header, self._scan(reader, size))
+                self._hint_end, crc = self._load_hint(reader, header[0], size)
+                start = self._hint_end or self._format.header_len
+                reader.seek(start)
+                replay(header, self._scan(reader, start, size))
+                self._crc = _crc32_range(reader, self._hint_end, self._end_offset, crc)
             if self._end_offset < size:
+                logger.warning("%s: cut a torn tail of %d bytes at offset %d",
+                               path, size - self._end_offset, self._end_offset)
                 # drop torn tail bytes so new appends land on a record boundary
                 os.ftruncate(self._fh.fileno(), self._end_offset)
         except BaseException:
             self._fh.close()
             raise
 
-    def _scan(self, reader, size: int) -> Iterator[tuple[int, tuple, bytes, bytes, int]]:
-        """Yield each whole record after the header in reader, a file of size
-        bytes; at the end, set _end_offset to the end of the last."""
+    def _hint_path(self) -> Path:
+        return self._path.with_name(self._path.name + ".hint")
+
+    def _load_hint(self, reader, log_id: StoreID, size: int) -> tuple[int, int]:
+        """If the sidecar checks against the log in reader (size bytes),
+        restore its replay state and return the (end, prefix CRC) it
+        covers; otherwise log why not and return (0, 0)."""
+        try:
+            data = memoryview(self._hint_path().read_bytes())
+        except FileNotFoundError:
+            return self._no_hint("missing")
+        except OSError as exc:
+            return self._no_hint(f"unreadable: {exc}")
+        if len(data) < 5 or zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "big"):
+            return self._no_hint("sidecar CRC")
+        try:
+            if data[0] != HINT_FORMAT:
+                raise ValueError(f"hint format {data[0]}")
+            hint_id, end, crc, state = marshal.loads(data[1:-4])
+            if not (type(hint_id) is bytes and type(end) is int and type(crc) is int
+                    and end >= self._format.header_len):
+                raise ValueError("unexpected hint shape")
+        except (EOFError, TypeError, ValueError):
+            return self._no_hint("format")
+        if hint_id != log_id.raw:
+            return self._no_hint("id")
+        if end > size:
+            return self._no_hint("short log")
+        if _crc32_range(reader, 0, end, 0) != crc:
+            return self._no_hint("prefix CRC")
+        try:
+            self._restore_hint(state)
+        except (TypeError, ValueError):
+            return self._no_hint("format")
+        return end, crc
+
+    def _no_hint(self, reason: str) -> tuple[int, int]:
+        logger.info("%s: hint not used (%s); replaying the whole log", self._path, reason)
+        return 0, 0
+
+    def _write_hint(self) -> None:
+        """Write the sidecar covering the whole log; a failure is logged,
+        as the sidecar is only ever a shortcut."""
+        hint = self._hint_path()
+        tmp = hint.with_name(hint.name + ".tmp")
+        body = bytes([HINT_FORMAT]) + marshal.dumps(
+            (self._id.raw, self._end_offset, self._crc, self._hint_state())
+        )
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(body)
+                fh.write(zlib.crc32(body).to_bytes(4, "big"))
+            os.replace(tmp, hint)
+        except OSError as exc:
+            logger.warning("%s: hint not written: %s", hint, exc)
+        finally:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+
+    def _scan(
+        self, reader, offset: int, size: int
+    ) -> Iterator[tuple[int, tuple, bytes, bytes, int]]:
+        """Yield each whole record in reader, a file of size bytes, from
+        offset on; at the end, set _end_offset to the end of the last."""
         fmt, source = self._format, self._path
         read = reader.read
         unpack_prefix = fmt.prefix.unpack_from
         head_len = fmt.prefix.size + 4
         (label1, min1, max1), (label2, min2, max2) = fmt.fields
         crc = fmt.crc
-        offset = fmt.header_len
         # the lock keeps size fixed, so a record running past it is a torn tail
         while offset + head_len <= size:
             head = read(head_len)
@@ -166,6 +273,7 @@ class FramedLog:
                 self._torn = True
             raise
         self._end_offset = start + len(record)
+        self._crc = zlib.crc32(record, self._crc)
         return start
 
     @property
@@ -173,11 +281,16 @@ class FramedLog:
         return self._path
 
     def close(self) -> None:
-        """Flush and fsync the log, then release it; a second close does nothing."""
+        """Flush and fsync the log, write its hint if the log has grown past
+        the trusted one, then release it; a second close does nothing."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
+            try:
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+                if self._hint_end != self._end_offset and not self._torn:
+                    self._write_hint()
+            finally:
+                self._fh.close()

@@ -5,8 +5,9 @@ the old key, bind the new one) changes what the name resolves to while the
 underlying stores keep every value ever written.
 
 The persistent namer appends BIND/UNBIND records to a log and replays them
-on open, which also yields historical views: the binding state as of any
-log sequence number can be reconstructed by prefix replay.
+on open, which also yields historical views: each name keeps its history
+of (seq, action, key) records, so the keys a name had as of any log
+sequence number are found by bisecting that history.
 
 Log format, after a 21-byte header (magic "XNM1", version 0x01, 16-byte
 namer instance id):
@@ -15,14 +16,17 @@ namer instance id):
 
 action is 0x01 BIND or 0x02 UNBIND; crc32 covers all preceding record
 bytes with the same parameters as the store log. Framing, torn-tail
-recovery and locking are shared with the store log: see framedlog.py.
+recovery, locking and the <log>.hint sidecar (max seq, the live bindings
+and every name's history) are shared with the store log: see framedlog.py.
 """
 from __future__ import annotations
 
 import os
 import struct
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .core import (
@@ -139,8 +143,9 @@ class MemoryNamer(Namer):
 class LogNamer(FramedLog, MemoryNamer):
     """Durable namer recording its bindings in an append-only log.
 
-    Current state is the fold of all committed records; lookup_as_of
-    reconstructs the state after any prefix of them.
+    Current state is the fold of all committed records. Each name also keeps
+    its history, [(seq, action, key bytes)] in seq order, which answers
+    lookup_as_of by bisection and from which records() rebuilds the log.
     """
 
     _format = NAMER_LOG
@@ -152,33 +157,57 @@ class LogNamer(FramedLog, MemoryNamer):
     def open(cls, path: str | os.PathLike, namer_id: StoreID | None = None) -> LogNamer:
         self = object.__new__(cls)
         MemoryNamer.__init__(self, namer_id)
-        self._records: list[BindingRecord] = []
+        self._max_seq = 0
+        self._history: dict[str, list[tuple[int, int, bytes]]] = {}
         self._open_log(Path(path), self._id, b"", self._replay)
         return self
 
     def _replay(self, header: tuple[StoreID, bytes], records) -> None:
         self._id = header[0]
         path, change = self._path, super()._change
+        bindings, history = self._bindings, self._history
+        # each distinct name and key is decoded and checked once
+        names: dict[bytes, Name] = {}
+        keys: dict[bytes, Key] = {}
+        last = self._max_seq
         for start, (seq, action), name_bytes, key_bytes, _ in records:
-            if seq != len(self._records) + 1:
+            if seq != last + 1:
                 raise CorruptionError(f"{path}: sequence gap at offset {start} (got {seq})")
             if action not in (ACTION_BIND, ACTION_UNBIND):
                 raise CorruptionError(f"{path}: unknown action {action:#04x} at offset {start}")
-            try:
-                name = Name(name_bytes.decode("utf-8"))
-                key = Key(key_bytes)
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise CorruptionError(f"{path}: bad record at {start}: {exc}") from None
-            if action == ACTION_UNBIND and key not in self._bindings.get(name, ()):
+            name, key = names.get(name_bytes), keys.get(key_bytes)
+            if name is None or key is None:
+                try:
+                    if name is None:
+                        name = names[name_bytes] = Name(name_bytes.decode("utf-8"))
+                    if key is None:
+                        key = keys[key_bytes] = Key(key_bytes)
+                except (UnicodeDecodeError, ValueError) as exc:
+                    raise CorruptionError(f"{path}: bad record at {start}: {exc}") from None
+            if action == ACTION_UNBIND and key not in bindings.get(name, ()):
                 raise CorruptionError(f"{path}: UNBIND of unbound pair at seq {seq}")
-            self._records.append(BindingRecord(seq, action, name, key))
             change(action, name, key)
+            history.setdefault(name.text, []).append((seq, action, key.raw))
+            last = seq
+        self._max_seq = last
+
+    def _hint_state(self) -> tuple:
+        live = {name.text: [key.raw for key in keys] for name, keys in self._bindings.items()}
+        return self._max_seq, live, self._history
+
+    def _restore_hint(self, state) -> None:
+        max_seq, live, history = state
+        if not (type(max_seq) is int and type(live) is dict and type(history) is dict
+                and sum(map(len, history.values())) == max_seq):
+            raise ValueError("unexpected namer hint shape")
+        bindings = {Name(text): {Key(raw) for raw in raws} for text, raws in live.items()}
+        self._max_seq, self._bindings, self._history = max_seq, bindings, history
 
     @property
     def max_seq(self) -> int:
         """Sequence number of the newest committed record (0 when empty)."""
         with self._lock:
-            return len(self._records)
+            return self._max_seq
 
     def lookup_as_of(self, name: Name, seq: int) -> set[Key]:
         """The key set lookup(name) would have returned right after record
@@ -186,25 +215,32 @@ class LogNamer(FramedLog, MemoryNamer):
         check_name(name)
         with self._lock:
             self._check_open()
-            if not 0 <= seq <= len(self._records):
-                raise SeqOutOfRangeError(
-                    f"seq {seq} outside 0..{len(self._records)}"
-                )
-            prefix = self._records[:seq]
-        state = MemoryNamer(self._id)
-        for record in prefix:
-            state._change(record.action, record.name, record.key)
-        return state.lookup(name)
+            if not 0 <= seq <= self._max_seq:
+                raise SeqOutOfRangeError(f"seq {seq} outside 0..{self._max_seq}")
+            history = self._history.get(name.text, [])
+            keys: set[bytes] = set()
+            for _, action, raw in history[: bisect_right(history, seq, key=itemgetter(0))]:
+                if action == ACTION_BIND:
+                    keys.add(raw)
+                else:
+                    keys.discard(raw)
+        return {Key(raw) for raw in keys}
 
     def records(self) -> list[BindingRecord]:
-        """Snapshot of the committed record list."""
+        """Snapshot of the committed record list, in seq order."""
         with self._lock:
-            return list(self._records)
+            out: list = [None] * self._max_seq
+            for text, history in self._history.items():
+                name = Name(text)
+                for seq, action, raw in history:
+                    out[seq - 1] = BindingRecord(seq, action, name, Key(raw))
+        return out
 
     def _change(self, action: int, name: Name, key: Key) -> None:
-        record = BindingRecord(len(self._records) + 1, action, name, key)
-        self._append_bytes(NAMER_LOG.record((record.seq, action), name.text.encode("utf-8"), key.raw))
-        self._records.append(record)
+        seq = self._max_seq + 1
+        self._append_bytes(NAMER_LOG.record((seq, action), name.text.encode("utf-8"), key.raw))
+        self._max_seq = seq
+        self._history.setdefault(name.text, []).append((seq, action, key.raw))
         super()._change(action, name, key)
 
 

@@ -315,15 +315,11 @@ def _resolve_policy(requested: KeyPolicy | str | None, tag: int, source: str) ->
     return policy
 
 
-def _resume_sequence(policy: KeyPolicy, index: dict[bytes, Any]) -> None:
-    """Resume a sequence counter past every 8-byte key already bound."""
-    if not isinstance(policy, SequenceKeys):
-        return
-    highest = 0
-    for key_bytes in index:
-        if len(key_bytes) == 8:
-            highest = max(highest, struct.unpack(">Q", key_bytes)[0])
-    policy.next_seq = max(policy.next_seq, highest + 1)
+def _resume_sequence(policy: KeyPolicy, top: bytes) -> None:
+    """Resume a sequence counter past top, the highest 8-byte key bound (b""
+    if none). Big-endian keys of one length sort as their numbers do."""
+    if isinstance(policy, SequenceKeys) and top:
+        policy.next_seq = max(policy.next_seq, int.from_bytes(top, "big") + 1)
 
 
 class AppendLogStore(FramedLog, LocalStore):
@@ -331,8 +327,9 @@ class AppendLogStore(FramedLog, LocalStore):
 
     Each put's record is handed to the OS before put returns; the log is
     fsynced only at close, so a power loss can drop recent puts. A put that
-    fails leaves no partial record behind. Recovery on open and locking
-    follow framedlog.py.
+    fails leaves no partial record behind. Recovery on open, locking and the
+    <log>.hint sidecar (the keydir and the highest 8-byte key) follow
+    framedlog.py.
     """
 
     _format = STORE_LOG
@@ -354,11 +351,12 @@ class AppendLogStore(FramedLog, LocalStore):
         path = Path(path)
         self = object.__new__(cls)
         LocalStore.__init__(self, store_id or StoreID.generate(), make_policy(policy))
-        index = self._index
+        self._top = b""  # the highest 8-byte key bound, b"" if none
 
         def replay(header, records):
             self._id, extra = header
             self._policy = _resolve_policy(policy, _policy_tag(extra, str(path)), str(path))
+            index, top = self._index, self._top
             for start, _, key_bytes, value, end in records:
                 existing = index.get(key_bytes)
                 # a well-formed log never repeats a key; tolerate an exact
@@ -366,13 +364,27 @@ class AppendLogStore(FramedLog, LocalStore):
                 if existing is not None and self._read(key_bytes, existing) != value:
                     raise CorruptionError(f"{path}: key rebound at offset {start}")
                 index[key_bytes] = (end - 4 - len(value), len(value))
+                if len(key_bytes) == 8 and key_bytes > top:
+                    top = key_bytes
+            self._top = top
 
         self._open_log(path, self._id, bytes([self._policy.tag]), replay)
-        _resume_sequence(self._policy, index)
+        _resume_sequence(self._policy, self._top)
         return self
+
+    def _hint_state(self) -> tuple[bytes, dict[bytes, tuple[int, int]]]:
+        return self._top, self._index
+
+    def _restore_hint(self, state) -> None:
+        top, index = state
+        if type(top) is not bytes or type(index) is not dict:
+            raise ValueError("unexpected store hint shape")
+        self._top, self._index = top, index
 
     def _write(self, key_bytes: bytes, value: bytes) -> tuple[int, int]:
         start = self._append_bytes(STORE_LOG.record((), key_bytes, value))
+        if len(key_bytes) == 8 and key_bytes > self._top:
+            self._top = key_bytes
         return (start + 8 + len(key_bytes), len(value))
 
     def _read(self, key_bytes: bytes, locator: tuple[int, int]) -> bytes:
@@ -416,7 +428,7 @@ class FilePerKeyStore(LocalStore):
             resolved = _resolve_policy(policy, tag, str(directory))
             LocalStore.__init__(self, sid, resolved)
             self._index = _scan_value_files(directory)
-            _resume_sequence(resolved, self._index)
+            _resume_sequence(resolved, max((k for k in self._index if len(k) == 8), default=b""))
         else:
             if directory.exists() and any(directory.iterdir()):
                 raise CorruptionError(f"{directory}: not empty and no {META_FILENAME}")

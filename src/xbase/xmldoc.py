@@ -115,6 +115,68 @@ class Element:
         """Concatenated direct text content."""
         return "".join(c.content for c in self.children if isinstance(c, Text))
 
+    # ==, hash() and repr() give what the dataclass-generated methods would,
+    # over an explicit stack, so any depth works. Each element caches its
+    # hash; pickling and copying leave the cache out, as str hashes differ
+    # between processes.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if (a.name != b.name or a.attributes != b.attributes
+                    or len(a.children) != len(b.children)):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if isinstance(x, Element) and y.__class__ is x.__class__:
+                    pending.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        pending = [self]
+        while pending:
+            node = pending[-1]
+            unhashed = [c for c in node.children
+                        if isinstance(c, Element) and "_hash" not in c.__dict__]
+            if unhashed:
+                pending.extend(unhashed)
+                continue
+            pending.pop()
+            if "_hash" not in node.__dict__:
+                # every child element's hash is cached, so this does not recurse
+                object.__setattr__(node, "_hash", hash((node.name, node.attributes, node.children)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    def __repr__(self):
+        parts: list[str] = []
+        pending: list = [self]  # nodes still to write, and closing text (str)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif not isinstance(node, Element):
+                parts.append(repr(node))
+            else:
+                parts.append(f"{node.__class__.__qualname__}(name={node.name!r}, "
+                             f"attributes={node.attributes!r}, children=(")
+                pending.append(",))" if len(node.children) == 1 else "))")
+                for i in range(len(node.children) - 1, -1, -1):
+                    pending.append(node.children[i])
+                    if i:
+                        pending.append(", ")
+        return "".join(parts)
+
 
 XmlNode = Element | Text
 

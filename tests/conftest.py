@@ -59,6 +59,12 @@ class HalfWriteFile:
     def __getattr__(self, name):
         return getattr(self._fh, name)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
 
 @pytest.fixture
 def tmp_home(tmp_path, monkeypatch):

@@ -1,4 +1,7 @@
 """The XML subset: document model validation, parser, canonical serializer."""
+import pickle
+from dataclasses import make_dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +255,31 @@ _text_st = st.text(
 )
 
 
+def test_deep_trees_compare_hash_and_repr():
+    data = _deep_document()
+    one, two = xml_parse(data), xml_parse(data)
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    assert repr(one) == repr(two)
+    assert repr(one).startswith("Element(name='a', attributes=(), children=(Element(name='a'")
+    assert repr(one).count("Element(") == DEEP
+    other = xml_parse(data.replace(b">x<", b">y<"))
+    assert one != other
+    assert len({one, two, other}) == 2
+
+
+# The same fields with the methods dataclass generates, for comparison.
+_Generated = make_dataclass(
+    "Element", [("name", str), ("attributes", tuple), ("children", tuple)], frozen=True
+)
+
+
+def _generated(node):
+    if isinstance(node, Text):
+        return node
+    return _Generated(node.name, node.attributes, tuple(map(_generated, node.children)))
+
+
 def _merge_adjacent_text(children):
     merged = []
     for child in children:
@@ -283,6 +311,26 @@ def _elements(draw, depth=0):
 @given(_elements())
 def test_parse_serialize_fixpoint(element):
     assert xml_parse(xml_serialize(element)) == element
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elements(), _elements())
+def test_eq_hash_repr_match_the_generated_methods(first, second):
+    assert repr(first) == repr(_generated(first))
+    assert hash(first) == hash(_generated(first))
+    copy = xml_parse(xml_serialize(first))
+    assert (copy == first) is True and hash(copy) == hash(first)
+    assert (first == second) == (_generated(first) == _generated(second))
+    assert (first != second) == (_generated(first) != _generated(second))
+    assert first.__eq__("x") is NotImplemented
+
+
+def test_pickle_leaves_the_hash_cache_out():
+    element = xml_parse(b"<a><b>x</b><c/></a>")
+    hash(element)
+    again = pickle.loads(pickle.dumps(element))
+    assert "_hash" not in again.__dict__
+    assert again == element and hash(again) == hash(element)
 
 
 _edit_bytes = st.one_of(
