@@ -13,6 +13,7 @@ the proxy configured under the home directory. Values come from --hex,
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
@@ -270,14 +271,24 @@ def _cmd_lookup(args) -> int:
     return 0
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args) -> int:
-    with open_store(args.path) as store, StoreServer(store, args.address) as server:
-        host, port = server.address
-        print(f"serving {args.path} on {host}:{port}", file=sys.stderr)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
+    # SIGTERM stops the server as Ctrl-C does, so the store still closes:
+    # its log is fsynced and its hint written
+    previous = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        with open_store(args.path) as store, StoreServer(store, args.address) as server:
+            host, port = server.address
+            print(f"serving {args.path} on {host}:{port}", file=sys.stderr)
+            try:
+                server.serve_forever()
+            except KeyboardInterrupt:
+                pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

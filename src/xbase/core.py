@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 import secrets
 from dataclasses import dataclass
-from typing import Generic, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 # A bit-string is plain bytes; the alias marks intent in signatures.
 BitString = bytes
@@ -220,6 +220,23 @@ class Store(_Closeable, abc.ABC):
     @abc.abstractmethod
     def get_store_id(self) -> StoreID:
         """Return the identifier of this store instance, stable for its lifetime."""
+
+    def get_many(self, keys: Iterable[Key]) -> dict[Key, BitString]:
+        """Return the bit-string bound to each key; keys this store has never
+        bound are left out, and any other error raises. A store that can
+        fetch several values at once (over one connection, say) overrides
+        this loop."""
+        found: dict[Key, BitString] = {}
+        for key in dict.fromkeys(keys):
+            try:
+                found[key] = self.get(key)
+            except UnknownKeyError:
+                pass
+        return found
+
+    def put_many(self, values: Iterable[BitString]) -> list[Key]:
+        """Insert each bit-string in turn; return their keys in input order."""
+        return [self.put(value) for value in values]
 
 
 T = TypeVar("T")

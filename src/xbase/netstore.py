@@ -11,10 +11,19 @@ by an opcode-specific payload using u32 big-endian length prefixes:
 
 ERR codes: 0x01 UnknownKey, 0x02 KeyConflict, 0x03 KeyMismatch,
 0x04 Malformed, 0x05 Internal. One request yields exactly one response;
-requests on a connection are handled in order. Declared lengths above
-64 MiB are rejected before any allocation. After a broken connection,
-RemoteStore resends a GET, STORE_ID or PUT_WITH_KEY once on a new one; a
-PUT, which the server may have applied, raises UnreachableError instead.
+requests on a connection are handled in order, and both ends set
+TCP_NODELAY. Declared lengths above 64 MiB are rejected before any
+allocation.
+
+RemoteStore pipelines: get_many and put_many send a window of requests
+(at most 128 of them and 32 KiB of request bytes, so they fit the socket
+buffers) in one write, then read that window's responses in order. A
+single get or put is a window of one. An error response is read in its
+turn; get_many leaves unknown keys out and raises any other error once
+its window is read. After a broken connection, the unanswered requests
+of a window of GET, STORE_ID or PUT_WITH_KEY are resent once on a new
+connection; a window holding a PUT, which the server may have applied,
+raises UnreachableError instead.
 
 A response that fails to decode drops the connection, as its framing is
 lost; the next request goes out on a new one.
@@ -22,8 +31,9 @@ lost; the next request goes out on a new one.
 The ProxyStore holds no data of its own unless given a local backing
 store. Its targets are plain stores; a "host:port" address becomes a
 RemoteStore that the proxy owns and closes. Gets probe local first, then
-each target in insertion order, skipping unreachable ones; puts go to one
-store chosen by the put policy.
+each target in insertion order, skipping unreachable ones; get_many does
+the same with one batch per store for the keys still missing. Puts go to
+one store chosen by the put policy.
 """
 from __future__ import annotations
 
@@ -33,7 +43,7 @@ import socketserver
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     BitString,
@@ -289,6 +299,8 @@ def parse_address(address: str) -> tuple[str, int]:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         store: Store = self.server.store  # type: ignore[attr-defined]
+        # one response per request: Nagle would hold back the second of a burst
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         rfile = self.request.makefile("rb")
         wfile = self.request.makefile("wb")
         try:
@@ -372,9 +384,34 @@ def serve(store: Store, bind_address: str | tuple[str, int]) -> StoreServer:
     return StoreServer(store, bind_address).start()
 
 
+# A window is the requests sent in one go before their responses are read.
+# Its requests stay within the default socket buffers (client send plus
+# server receive), so the client always finishes sending and starts reading
+# even while the server is blocked writing large responses. A request
+# larger than the byte cap travels in a window of its own.
+_WINDOW_REQUESTS = 128
+_WINDOW_BYTES = 32 << 10
+
+
+def _windows(requests: Iterable[WireMessage]) -> Iterator[list[bytes]]:
+    """Encode requests lazily and group the frames into windows."""
+    window: list[bytes] = []
+    size = 0
+    for msg in requests:
+        frame = encode_message(msg)
+        if window and (len(window) == _WINDOW_REQUESTS or size + len(frame) > _WINDOW_BYTES):
+            yield window
+            window, size = [], 0
+        window.append(frame)
+        size += len(frame)
+    if window:
+        yield window
+
+
 class RemoteStore(Store):
-    """Store client over the wire protocol; connects lazily, and resends
-    only a GET, STORE_ID or PUT_WITH_KEY once after a broken connection."""
+    """Store client over the wire protocol; connects lazily, pipelines
+    batches a window at a time, and resends only windows without a PUT,
+    once, after a broken connection."""
 
     def __init__(self, address: str | tuple[str, int], timeout: float | None = 10.0):
         self._address = parse_address(address) if isinstance(address, str) else address
@@ -393,6 +430,7 @@ class RemoteStore(Store):
             self._sock = socket.create_connection(self._address, timeout=self._timeout)
         except OSError as exc:
             raise UnreachableError(f"{self._address[0]}:{self._address[1]}: {exc}") from None
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
 
     def _drop(self) -> None:
@@ -404,34 +442,52 @@ class RemoteStore(Store):
                     pass
         self._sock = self._rfile = None
 
-    def _request(self, msg: WireMessage, expected: type) -> WireMessage:
-        payload = encode_message(msg)
-        # A broken connection may just be stale: resend once on a new one,
-        # but never a PUT, which the server may already have applied.
-        put = isinstance(msg, PutRequest)
+    def _exchange(self, requests: Iterable[WireMessage], expected: type,
+                  missing_ok: bool = False) -> list[WireMessage | None]:
+        """Send requests a window at a time and return their responses in
+        order. With missing_ok an UnknownKey error gives None; any other
+        error raises once its window has been read, so framing is kept."""
+        out: list[WireMessage | None] = []
         with self._lock:
-            for final in (put, True):
-                if self._sock is None:
-                    self._connect()
-                try:
-                    self._sock.sendall(payload)
-                    response = read_message(self._rfile.read)
-                    break
-                except (OSError, TruncatedStreamError) as exc:
-                    self._drop()
-                    if final:
-                        unknown = "; the put may or may not have been applied" if put else ""
-                        raise UnreachableError(
-                            f"{self._address[0]}:{self._address[1]}: {exc}{unknown}"
-                        ) from None
-                except MalformedMessageError:
-                    self._drop()  # framing is lost
-                    raise
-        if isinstance(response, ErrResponse):
-            _raise_remote(response)
-        if not isinstance(response, expected):
-            raise RemoteError(f"unexpected response {type(response).__name__}")
-        return response
+            for window in _windows(requests):
+                for response in self._send_window(window):
+                    if isinstance(response, ErrResponse):
+                        if missing_ok and response.code == ERR_UNKNOWN_KEY:
+                            out.append(None)
+                            continue
+                        _raise_remote(response)
+                    if not isinstance(response, expected):
+                        raise RemoteError(f"unexpected response {type(response).__name__}")
+                    out.append(response)
+        return out
+
+    def _send_window(self, frames: list[bytes]) -> list[WireMessage]:
+        # A broken connection may just be stale: resend the unanswered
+        # requests once on a new one, but never a window holding a PUT,
+        # which the server may already have applied.
+        put = any(frame[4] == OP_PUT for frame in frames)
+        responses: list[WireMessage] = []
+        for final in (put, True):
+            if self._sock is None:
+                self._connect()
+            try:
+                self._sock.sendall(b"".join(frames[len(responses):]))
+                while len(responses) < len(frames):
+                    responses.append(read_message(self._rfile.read))
+                return responses
+            except (OSError, TruncatedStreamError) as exc:
+                self._drop()
+                if final:
+                    unknown = "; the put may or may not have been applied" if put else ""
+                    raise UnreachableError(
+                        f"{self._address[0]}:{self._address[1]}: {exc}{unknown}"
+                    ) from None
+            except MalformedMessageError:
+                self._drop()  # framing is lost
+                raise
+
+    def _request(self, msg: WireMessage, expected: type) -> WireMessage:
+        return self._exchange((msg,), expected)[0]
 
     def put(self, value: BitString) -> Key:
         return Key(self._request(PutRequest(bytes(value)), KeyResponse).key)
@@ -446,6 +502,16 @@ class RemoteStore(Store):
         if self._store_id is None:
             self._store_id = StoreID(self._request(StoreIdRequest(), IdResponse).store_id)
         return self._store_id
+
+    def get_many(self, keys: Iterable[Key]) -> dict[Key, BitString]:
+        keys = list(dict.fromkeys(keys))
+        responses = self._exchange((GetRequest(key.raw) for key in keys), DataResponse,
+                                   missing_ok=True)
+        return {key: r.value for key, r in zip(keys, responses) if r is not None}
+
+    def put_many(self, values: Iterable[BitString]) -> list[Key]:
+        responses = self._exchange((PutRequest(bytes(v)) for v in values), KeyResponse)
+        return [Key(r.key) for r in responses]
 
     def close(self) -> None:
         """Drop the connection; a later request opens a new one."""
@@ -556,14 +622,16 @@ class ProxyStore(Store):
     def get_store_id(self) -> StoreID:
         return self._id  # the proxy is a store instance in its own right
 
+    def _candidates(self) -> list[tuple[str, Store]]:
+        """(label, store) in probe order: local, then a snapshot of the targets."""
+        candidates = [("local", self._local)] if self._local is not None else []
+        candidates += [(_label(_target_identity(s)), s) for s in self.targets()]
+        return candidates
+
     def get_with_trace(self, key: Key) -> tuple[BitString, list[ProbeRecord]]:
         """Like get, but also returns the probe trace. On failure the raised
         error carries the trace as a .trace attribute."""
-        candidates: list[tuple[str, Store]] = []
-        if self._local is not None:
-            candidates.append(("local", self._local))
-        for store in self.targets():  # snapshot taken at call start
-            candidates.append((_label(_target_identity(store)), store))
+        candidates = self._candidates()
         trace: list[ProbeRecord] = []
         queried = 0
         for label, store in candidates:
@@ -591,6 +659,31 @@ class ProxyStore(Store):
         value, _ = self.get_with_trace(key)
         return value
 
+    def get_many(self, keys: Iterable[Key]) -> dict[Key, BitString]:
+        """Like get for each key: one batch to the local store, then one to
+        each target in turn for the keys still missing."""
+        missing = list(dict.fromkeys(keys))
+        candidates = self._candidates()
+        found: dict[Key, BitString] = {}
+        unreachable: list[ProbeRecord] = []
+        for label, store in candidates:
+            if not missing:
+                break
+            try:
+                hits = store.get_many(missing)
+            except (UnreachableError, OSError):
+                unreachable.append(ProbeRecord(label, "unreachable"))
+                continue
+            found.update(hits)
+            missing = [key for key in missing if key not in hits]
+        if missing and candidates and len(unreachable) == len(candidates):
+            exc = AllTargetsUnreachableError(
+                f"all {len(candidates)} candidates unreachable for key {missing[0].hex}"
+            )
+            exc.trace = unreachable
+            raise exc
+        return found
+
     def _put_target(self) -> Store:
         with self._lock:
             targets = list(self._targets)
@@ -609,6 +702,9 @@ class ProxyStore(Store):
 
     def put(self, value: BitString) -> Key:
         return self._put_target().put(value)
+
+    def put_many(self, values: Iterable[BitString]) -> list[Key]:
+        return self._put_target().put_many(values)
 
     def put_with_key(self, value: BitString, key: Key) -> None:
         self._put_target().put_with_key(value, key)

@@ -4,9 +4,12 @@ A fragmentation schema is a tree mirroring the document: each node names
 an element (or the wildcard), and is either expanded or collapsed. An
 expanded element becomes a fragment of its own whose matched children are
 replaced by x-ref placeholder elements; a collapsed or unmatched element
-stays in one piece. Fragments are written child-first, so every reference
-points at a fragment that already exists and the fragment graph is acyclic
-by construction.
+stays in one piece. Fragments are written child-first, one put_many per
+tree level from the deepest up (level order), so every reference points at
+a fragment that already exists and the fragment graph is acyclic by
+construction. Reading fetches level by level too, one get_many per store,
+and each distinct fragment once per call. Neither direction recurses, so
+nesting depth is limited only by memory.
 
 References come in three modes:
 
@@ -25,8 +28,8 @@ children take precedence over the wildcard when matching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .core import (
     InvalidRepresentationError,
@@ -100,7 +103,9 @@ class FragSchema:
         return cls(_schema_node(root))
 
 
-def _schema_node(element: Element) -> SchemaNode:
+def _schema_head(element: Element) -> tuple[str, bool]:
+    """An element's schema name and collapse flag, after checking its own
+    attributes and text."""
     name = WILDCARD if element.name == SCHEMA_ANY else element.name
     collapse = False
     for attr_name, value in element.attributes:
@@ -115,18 +120,36 @@ def _schema_node(element: Element) -> SchemaNode:
     for child in element.children:
         if isinstance(child, Text) and child.content.strip():
             raise SchemaError("schema elements must not contain text")
-    if collapse:
-        return SchemaNode(name, True, ())  # children are ignored once collapsed
-    children = []
-    seen: set[str] = set()
-    for child in element.child_elements():
-        node = _schema_node(child)
+    return name, collapse
+
+
+def _schema_node(root: Element) -> SchemaNode:
+    """The schema tree of a schema document, built over an explicit stack.
+    A child's whole subtree is checked before it is compared with its
+    earlier siblings, so errors come in depth-first order."""
+    # one frame per open expanded element: (name, child elements, built nodes, names seen)
+    stack: list[tuple[str, Iterator[Element], list[SchemaNode], set[str]]] = []
+    element: Element | None = root
+    while True:
+        if element is not None:
+            name, collapse = _schema_head(element)
+            if not collapse:  # children are ignored once collapsed
+                stack.append((name, iter(element.child_elements()), [], set()))
+                element = next(stack[-1][1], None)
+                continue
+            node = SchemaNode(name, True, ())
+        else:
+            name, _, children, _ = stack.pop()
+            node = SchemaNode(name, False, tuple(children))
+        if not stack:
+            return node
+        parent, rest, children, seen = stack[-1]
         if node.element_name in seen:
             label = "wildcard" if node.element_name == WILDCARD else repr(node.element_name)
-            raise SchemaError(f"duplicate schema child {label} under {name!r}")
+            raise SchemaError(f"duplicate schema child {label} under {parent!r}")
         seen.add(node.element_name)
         children.append(node)
-    return SchemaNode(name, False, tuple(children))
+        element = next(rest, None)
 
 
 def fully_collapsed_schema() -> FragSchema:
@@ -145,57 +168,51 @@ def fully_expanded_schema(depth: int) -> FragSchema:
     return FragSchema(node)
 
 
-@dataclass
-class _FragContext:
-    store: Store
-    mode: str
-    namer: Namer | None
-    prefix: str | None
-    store_id_hex: str = field(default="", init=False)
+class _Piece:
+    """One fragment being written: its element, its schema node, its name
+    path, and where its x-ref goes in the parent's body."""
 
-    def __post_init__(self):
-        if self.mode == MODE_SELF:
-            self.store_id_hex = self.store.get_store_id().hex
+    __slots__ = ("element", "snode", "path", "parent", "slot", "body")
 
-    def emit(self, body: Element, path: tuple[str, ...]) -> tuple[Key, Element]:
-        """Store one fragment; return its key and the x-ref pointing at it."""
-        key = self.store.put(xml_serialize(body))
-        if self.mode == MODE_NAME:
-            name = Name(self.prefix + "/" + "/".join(path))
-            self.namer.bind(name, key)
-            ref = Element(XREF_NAME, (("mode", MODE_NAME), ("n", name.text)))
-        elif self.mode == MODE_SELF:
-            ref = Element(
-                XREF_NAME,
-                (("mode", MODE_SELF), ("k", key.hex), ("store-id", self.store_id_hex)),
-            )
-        else:
-            ref = Element(XREF_NAME, (("mode", MODE_KEY), ("k", key.hex)))
-        return key, ref
+    def __init__(self, element: Element, snode: SchemaNode, path: str,
+                 parent: "_Piece | None", slot: int):
+        self.element = element
+        self.snode = snode
+        self.path = path  # "doc.1/book.2"; only name mode uses it
+        self.parent = parent
+        self.slot = slot
+        self.body: list[XmlNode] | None = None  # children, None while collapsed
 
 
-def _fragment_body(element: Element, snode: SchemaNode, path: tuple[str, ...], ctx: _FragContext) -> Element:
-    """Fragment body for an expanded element: matched children turn into
-    x-refs (their fragments emitted first), everything else stays inline."""
-    out: list[XmlNode] = []
-    ordinals: dict[str, int] = {}
-    for child in element.children:
-        if isinstance(child, Text):
-            out.append(child)
-            continue
-        ordinal = ordinals[child.name] = ordinals.get(child.name, 0) + 1
-        child_snode = snode.match_child(child.name)
-        if child_snode is None:
-            out.append(child)
-            continue
-        child_path = path + (f"{child.name}.{ordinal}",)
-        if child_snode.collapse:
-            body = child
-        else:
-            body = _fragment_body(child, child_snode, child_path, ctx)
-        _, ref = ctx.emit(body, child_path)
-        out.append(ref)
-    return Element(element.name, element.attributes, tuple(out))
+def _split_levels(doc: Element, root_snode: SchemaNode, name_paths: bool) -> list[list[_Piece]]:
+    """The fragments of doc, one list per tree level in document order.
+    An expanded piece's body keeps unmatched children inline and leaves a
+    slot (None) for each matched child, whose piece is on the next level."""
+    level = [_Piece(doc, root_snode, f"{doc.name}.1", None, 0)]
+    levels = []
+    while level:
+        levels.append(level)
+        below: list[_Piece] = []
+        for piece in level:
+            if piece.snode.collapse:
+                continue
+            body: list[XmlNode] = []
+            ordinals: dict[str, int] = {}
+            for child in piece.element.children:
+                if isinstance(child, Text):
+                    body.append(child)
+                    continue
+                ordinal = ordinals[child.name] = ordinals.get(child.name, 0) + 1
+                child_snode = piece.snode.match_child(child.name)
+                if child_snode is None:
+                    body.append(child)
+                    continue
+                path = f"{piece.path}/{child.name}.{ordinal}" if name_paths else ""
+                below.append(_Piece(child, child_snode, path, piece, len(body)))
+                body.append(None)
+            piece.body = body
+        level = below
+    return levels
 
 
 def fragment(
@@ -207,7 +224,8 @@ def fragment(
     name_prefix: str | None = None,
 ) -> Key | Name:
     """Split doc into fragments in store; returns the root fragment's key,
-    or its bound name in name mode."""
+    or its bound name in name mode. Fragments go in one put_many per tree
+    level, deepest first, so every x-ref points at a stored fragment."""
     if mode not in _MODES:
         raise ValueError(f"unknown reference mode {mode!r}")
     if mode == MODE_NAME and (namer is None or not name_prefix):
@@ -225,34 +243,200 @@ def fragment(
             f"document root <{doc.name}> does not match schema root "
             f"<{root_snode.element_name}>"
         )
-    ctx = _FragContext(store, mode, namer, name_prefix)
-    path = (f"{doc.name}.1",)
-    if root_snode.collapse:
-        body = doc
-    else:
-        body = _fragment_body(doc, root_snode, path, ctx)
-    key, _ = ctx.emit(body, path)
-    if mode == MODE_NAME:
-        return Name(name_prefix + "/" + path[0])
-    return key
+    store_id_hex = store.get_store_id().hex if mode == MODE_SELF else ""
+    for level in reversed(_split_levels(doc, root_snode, mode == MODE_NAME)):
+        bodies = [
+            piece.element if piece.body is None else
+            Element(piece.element.name, piece.element.attributes, tuple(piece.body))
+            for piece in level
+        ]
+        keys = store.put_many([xml_serialize(body) for body in bodies])
+        for piece, key in zip(level, keys):
+            if mode == MODE_NAME:
+                name = Name(name_prefix + "/" + piece.path)
+                namer.bind(name, key)
+                ref = Element(XREF_NAME, (("mode", MODE_NAME), ("n", name.text)))
+            elif mode == MODE_SELF:
+                ref = Element(
+                    XREF_NAME, (("mode", MODE_SELF), ("k", key.hex), ("store-id", store_id_hex))
+                )
+            else:
+                ref = Element(XREF_NAME, (("mode", MODE_KEY), ("k", key.hex)))
+            if piece.parent is not None:
+                piece.parent.body[piece.slot] = ref
+    return name if mode == MODE_NAME else key
 
 
 StoreResolver = Callable[[StoreID], Store]
 
 
-@dataclass
-class _DefragContext:
-    namer: Namer | None
-    store_resolver: StoreResolver | None
+class _Fragment:
+    """A parsed fragment and the ids of its elements that hold an x-ref
+    (the only ones assembly has to rebuild)."""
+
+    __slots__ = ("root", "holders", "refs")
+
+    def __init__(self, root: Element):
+        self.root = root
+        self.refs: list[Element] = []  # the x-refs assembly resolves
+        self.holders: set[int] = set()
+        pending: list[tuple[Element, tuple | None]] = [(root, None)]
+        while pending:
+            element, up = pending.pop()
+            link = (id(element), up)  # this element and its ancestors
+            for child in element.children:
+                if not isinstance(child, Element):
+                    continue
+                if child.name != XREF_NAME:
+                    pending.append((child, link))
+                    continue
+                self.refs.append(child)
+                holder = link
+                while holder is not None and holder[0] not in self.holders:
+                    self.holders.add(holder[0])
+                    holder = holder[1]
+
+
+class _Defrag:
+    """One defragment call: resolves references, memoizes store ids, names,
+    resolved stores and parsed fragments, and assembles the document."""
+
+    def __init__(self, namer: Namer | None, store_resolver: StoreResolver | None):
+        self.namer = namer
+        self.store_resolver = store_resolver
+        self.ids: dict[int, tuple[Store, bytes]] = {}  # id(store) -> (store, its id)
+        self.names: dict[str, Key] = {}
+        self.stores: dict[bytes, Store] = {}
+        self.fragments: dict[tuple[bytes, bytes], _Fragment] = {}
+
+    def store_id(self, store: Store) -> bytes:
+        hit = self.ids.get(id(store))
+        if hit is None:
+            hit = self.ids[id(store)] = (store, store.get_store_id().raw)
+        return hit[1]
+
+    def lookup(self, name: Name) -> Key:
+        key = self.names.get(name.text)
+        if key is None:
+            key = self.names[name.text] = _lookup_single(self.namer, name)
+        return key
 
     def resolve_store(self, sid: StoreID, current: Store) -> Store:
-        if current.get_store_id().raw == sid.raw:
+        if self.store_id(current) == sid.raw:
             return current
-        if self.store_resolver is not None:
-            resolved = self.store_resolver(sid)
-            if resolved is not None:
-                return resolved
-        raise UnresolvedReferenceError(f"no reachable store with id {sid.hex}")
+        store = self.stores.get(sid.raw)
+        if store is None and self.store_resolver is not None:
+            store = self.store_resolver(sid)
+            if store is not None:
+                self.stores[sid.raw] = store
+        if store is None:
+            raise UnresolvedReferenceError(f"no reachable store with id {sid.hex}")
+        return store
+
+    def resolve_ref(self, xref: Element, store: Store) -> tuple[Key, Store]:
+        if xref.children:
+            raise InvalidRepresentationError("x-ref elements must be empty")
+        mode = xref.attr("mode")
+        if mode == MODE_KEY:
+            return _ref_key(xref, "k"), store
+        if mode == MODE_NAME:
+            name_text = xref.attr("n")
+            if name_text is None:
+                raise InvalidRepresentationError("name-mode x-ref lacks attribute 'n'")
+            return self.lookup(Name(name_text)), store
+        if mode == MODE_SELF:
+            sid_hex = xref.attr("store-id")
+            if sid_hex is None:
+                raise InvalidRepresentationError("self-mode x-ref lacks attribute 'store-id'")
+            try:
+                sid = StoreID.from_hex(sid_hex)
+            except ValueError as exc:
+                raise InvalidRepresentationError(f"bad store-id: {exc}") from None
+            target = self.resolve_store(sid, store)
+            return _ref_key(xref, "k"), target
+        raise InvalidRepresentationError(f"unknown x-ref mode {mode!r}")
+
+    def fetch(self, key: Key, store: Store) -> None:
+        """Parse every fragment reachable from key into the memo, one level
+        at a time with one get_many per store. Whatever fails here is left
+        out; assembly repeats it and raises the error in document order."""
+        level = [(key, store)]
+        while level:
+            wanted: dict[int, tuple[Store, bytes, dict[Key, None]]] = {}
+            for key, store in level:
+                try:
+                    sid = self.store_id(store)
+                except Exception:
+                    continue
+                if (sid, key.raw) not in self.fragments:
+                    wanted.setdefault(id(store), (store, sid, {}))[2][key] = None
+            level = []
+            for store, sid, keys in wanted.values():
+                try:
+                    values = store.get_many(keys)
+                except Exception:
+                    continue
+                for key, value in values.items():
+                    try:
+                        fragment = _Fragment(xml_parse(value))
+                    except Exception:
+                        continue
+                    self.fragments[(sid, key.raw)] = fragment
+                    for xref in fragment.refs:
+                        try:
+                            level.append(self.resolve_ref(xref, store))
+                        except Exception:
+                            continue
+
+    def open(self, key: Key, store: Store, on_path: set) -> Element | tuple:
+        """Open a fragment for assembly: its cycle check, then the memo, or
+        a get and parse if the fetch left it out. A fragment without x-refs
+        is returned whole; any other comes back as a new stack frame."""
+        node_id = (self.store_id(store), key.raw)
+        if node_id in on_path:
+            raise CycleDetectedError(f"fragment {key.hex} references itself")
+        fragment = self.fragments.get(node_id)
+        if fragment is None:
+            fragment = self.fragments[node_id] = _Fragment(xml_parse(store.get(key)))
+        root = fragment.root
+        if id(root) not in fragment.holders:
+            return root
+        on_path.add(node_id)
+        return (root, store, fragment.holders, node_id, [], iter(root.children))
+
+    def assemble(self, key: Key, store: Store) -> Element:
+        """Build the document from the memo over an explicit stack, in
+        document order. A frame is an element being rebuilt: (element, its
+        store, its fragment's holders, the fragment's node id if the element
+        is the fragment's root, the children built so far, the rest)."""
+        on_path: set = set()
+        opened = self.open(key, store, on_path)
+        if isinstance(opened, Element):
+            return opened
+        stack = [opened]
+        while True:
+            element, store, holders, node_id, out, rest = stack[-1]
+            for child in rest:
+                if isinstance(child, Element):
+                    if child.name == XREF_NAME:
+                        child = self.open(*self.resolve_ref(child, store), on_path)
+                    elif id(child) in holders:
+                        child = (child, store, holders, None, [], iter(child.children))
+                    if isinstance(child, tuple):
+                        stack.append(child)
+                        break
+                out.append(child)
+            else:
+                stack.pop()
+                if node_id is not None:
+                    on_path.discard(node_id)
+                # every child was valid and each x-ref became an element, so
+                # the rebuilt node needs no second validation
+                built = _trusted(Element, name=element.name, attributes=element.attributes,
+                                 children=tuple(out))
+                if not stack:
+                    return built
+                stack[-1][4].append(built)
 
 
 def _lookup_single(namer: Namer | None, name: Name) -> Key:
@@ -276,71 +460,24 @@ def _ref_key(xref: Element, what: str) -> Key:
         raise InvalidRepresentationError(f"bad x-ref key: {exc}") from None
 
 
-def _resolve_ref(xref: Element, store: Store, ctx: _DefragContext, on_path: set) -> Element:
-    if xref.children:
-        raise InvalidRepresentationError("x-ref elements must be empty")
-    mode = xref.attr("mode")
-    if mode == MODE_KEY:
-        key, target = _ref_key(xref, "k"), store
-    elif mode == MODE_NAME:
-        name_text = xref.attr("n")
-        if name_text is None:
-            raise InvalidRepresentationError("name-mode x-ref lacks attribute 'n'")
-        key, target = _lookup_single(ctx.namer, Name(name_text)), store
-    elif mode == MODE_SELF:
-        sid_hex = xref.attr("store-id")
-        if sid_hex is None:
-            raise InvalidRepresentationError("self-mode x-ref lacks attribute 'store-id'")
-        try:
-            sid = StoreID.from_hex(sid_hex)
-        except ValueError as exc:
-            raise InvalidRepresentationError(f"bad store-id: {exc}") from None
-        target = ctx.resolve_store(sid, store)
-        key = _ref_key(xref, "k")
-    else:
-        raise InvalidRepresentationError(f"unknown x-ref mode {mode!r}")
-    return _load_fragment(key, target, ctx, on_path)
-
-
-def _resolve_children(element: Element, store: Store, ctx: _DefragContext, on_path: set) -> Element:
-    out: list[XmlNode] = []
-    for child in element.children:
-        if isinstance(child, Element):
-            if child.name == XREF_NAME:
-                out.append(_resolve_ref(child, store, ctx, on_path))
-            else:
-                out.append(_resolve_children(child, store, ctx, on_path))
-        else:
-            out.append(child)
-    # every child was valid and each x-ref became an element, so the
-    # rebuilt node needs no second validation
-    return _trusted(Element, name=element.name, attributes=element.attributes, children=tuple(out))
-
-
-def _load_fragment(key: Key, store: Store, ctx: _DefragContext, on_path: set) -> Element:
-    node_id = (store.get_store_id().raw, key.raw)
-    if node_id in on_path:
-        raise CycleDetectedError(f"fragment {key.hex} references itself")
-    root = xml_parse(store.get(key))
-    on_path.add(node_id)
-    try:
-        return _resolve_children(root, store, ctx, on_path)
-    finally:
-        on_path.discard(node_id)
-
-
 def defragment(
     root_ref: Key | Name,
     store: Store,
     namer: Namer | None = None,
     store_resolver: StoreResolver | None = None,
 ) -> Element:
-    """Reassemble a fragmented document; the result has no x-ref elements."""
-    ctx = _DefragContext(namer, store_resolver)
+    """Reassemble a fragmented document; the result has no x-ref elements.
+
+    Fragments are fetched breadth-first, one get_many per store and level,
+    and each distinct fragment is fetched and parsed once per call; the
+    document is then assembled without recursion, so depth is limited
+    only by memory."""
     if isinstance(root_ref, Name):
         key = _lookup_single(namer, root_ref)
     elif isinstance(root_ref, Key):
         key = root_ref
     else:
         raise TypeError("root_ref must be a Key or a Name")
-    return _load_fragment(key, store, ctx, set())
+    call = _Defrag(namer, store_resolver)
+    call.fetch(key, store)
+    return call.assemble(key, store)

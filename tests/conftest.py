@@ -38,6 +38,34 @@ def lcg_keystream_reference(key: bytes, length: int) -> bytes:
     return bytes(out)
 
 
+def check_batches_match_loops(batched, looped) -> None:
+    """batched and looped are fresh stores of one kind and key policy.
+    put_many and get_many on the first must give what put and get loops
+    give on the second: with duplicate values and keys, unknown keys, empty
+    batches, and batches over one RemoteStore window (128 requests or
+    32 KiB of requests)."""
+    from xbase.core import Key, UnknownKeyError
+
+    values = [b"v%04d" % (i % 250) * (1 + i % 25) for i in range(600)]
+    assert len(b"".join(values)) > 32 << 10 and len(set(values)) < len(values)
+    assert batched.put_many([]) == []
+    keys = batched.put_many(iter(values))
+    assert keys == [looped.put(value) for value in values]
+    unknown = [Key(b"\xfe" * 32), Key(b"\xfd" * 8)]
+    asked = unknown[:1] + keys + keys[:50] + unknown
+    expected = {}
+    for key in asked:
+        try:
+            expected[key] = looped.get(key)
+        except UnknownKeyError:
+            pass
+    assert len(expected) == len(set(keys))
+    assert batched.get_many(asked) == expected
+    assert batched.get_many(iter(asked)) == expected
+    assert batched.get_many([]) == {}
+    assert batched.get_many(unknown) == {}
+
+
 class HalfWriteFile:
     """Stands in for a log's append handle: the first write puts half of its
     bytes in the file and then fails as a full disk does; later writes pass

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, stdout discipline, command behavior."""
 import io
+import signal
 import socket
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -359,9 +361,10 @@ class TestImportExport:
         assert main(["import-store", str(image_file), str(tmp_path / "new")]) == 1
 
 
-def test_serve_command_subprocess(tmp_path):
-    store_path = tmp_path / "served.store"
-    assert main(["put", "--store", str(store_path), "--hex", "aa"]) == 0
+@contextmanager
+def _served(store_path):
+    """Run `xbase serve` on store_path in a subprocess; yield the process
+    and a RemoteStore connected to it. Stopped with SIGTERM on exit."""
     port = _free_port()
     with subprocess.Popen(
         [sys.executable, "-m", "xbase", "serve", str(store_path), f"127.0.0.1:{port}"],
@@ -381,8 +384,28 @@ def test_serve_command_subprocess(tmp_path):
                     time.sleep(0.05)
             assert remote is not None, "server never came up"
             with remote:
-                key = remote.put(b"via subprocess")
-                assert remote.get(key) == b"via subprocess"
+                yield proc, remote
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+def test_serve_command_subprocess(tmp_path):
+    store_path = tmp_path / "served.store"
+    assert main(["put", "--store", str(store_path), "--hex", "aa"]) == 0
+    with _served(store_path) as (_, remote):
+        key = remote.put(b"via subprocess")
+        assert remote.get(key) == b"via subprocess"
+
+
+def test_serve_closes_its_store_on_sigterm(tmp_path):
+    """SIGTERM is a clean stop: exit status 0, and the store closed on the
+    way out, so the log is fsynced and its hint written."""
+    store_path = tmp_path / "served.store"
+    with _served(store_path) as (proc, remote):
+        keys = [remote.put(b"value %d" % i) for i in range(100)]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+    assert (tmp_path / "served.store.hint").exists()
+    with open_store(str(store_path)) as store:
+        assert [store.get(key) for key in keys] == [b"value %d" % i for i in range(100)]

@@ -45,6 +45,7 @@ from xbase.netstore import (
     read_message,
     serve,
 )
+from conftest import check_batches_match_loops
 from xbase.stores import MemoryStore, get_root_store
 
 
@@ -639,6 +640,187 @@ class TestProxyStore:
         key = proxy.put(b"abc")
         assert proxy.get(key) == b"abc"
         proxy.put_with_key(b"abc", key)
+
+
+class _Scripted(socketserver.StreamRequestHandler):
+    """Fake server: each connection reads `expect` requests (or up to end of
+    stream when None), logs them, applies PUTs to `store`, answers the first
+    `answer` of them (all when None) and hangs up. Both come from `plan`,
+    one (expect, answer) per connection; later connections answer all."""
+
+    plan: list = []
+    store: MemoryStore
+    received: list
+
+    def handle(self):
+        expect, answer = self.plan.pop(0) if self.plan else (None, None)
+        requests = []
+        self.received.append(requests)  # filled before each answer goes out
+        while expect is None or len(requests) < expect:
+            msg = read_message(self.rfile.read, allow_eof=True)
+            if msg is None:
+                break
+            requests.append(msg)
+            if expect is None:  # answer as they come
+                self.wfile.write(self._answer(msg))
+        if expect is not None:
+            answers = [self._answer(m) for m in requests]  # applies every PUT
+            self.wfile.write(b"".join(answers[:answer]))
+
+    def _answer(self, msg) -> bytes:
+        if isinstance(msg, PutRequest):
+            return encode_message(KeyResponse(self.store.put(msg.value).raw))
+        try:
+            return encode_message(DataResponse(self.store.get(Key(msg.key))))
+        except UnknownKeyError:
+            return encode_message(ErrResponse(0x01, msg.key.hex()))
+
+
+@pytest.fixture
+def scripted():
+    """A _Scripted server; yields (handler class, address)."""
+    handler = type("Handler", (_Scripted,), {
+        "plan": [], "store": MemoryStore(policy="sequence"), "received": []})
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield handler, server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("policy", ("sequence", "content-hash"))
+    def test_remote_batches_match_loops(self, policy):
+        with serve(MemoryStore(policy=policy), ("127.0.0.1", 0)) as one, \
+                serve(MemoryStore(policy=policy), ("127.0.0.1", 0)) as two, \
+                RemoteStore(one.address, timeout=5) as batched, \
+                RemoteStore(two.address, timeout=5) as looped:
+            check_batches_match_loops(batched, looped)
+
+    @pytest.mark.parametrize("policy", ("sequence", "content-hash"))
+    def test_proxy_batches_match_loops(self, policy):
+        with serve(MemoryStore(policy=policy), ("127.0.0.1", 0)) as one, \
+                serve(MemoryStore(policy=policy), ("127.0.0.1", 0)) as two, \
+                ProxyStore(local=MemoryStore(policy=policy), put_policy=0) as batched, \
+                ProxyStore(local=MemoryStore(policy=policy), put_policy=0) as looped:
+            batched.add_target(f"127.0.0.1:{one.address[1]}")
+            looped.add_target(f"127.0.0.1:{two.address[1]}")
+            check_batches_match_loops(batched, looped)
+
+    def test_large_get_batch_does_not_deadlock(self, loopback):
+        """64 responses of 1 MiB: far more than the socket buffers hold,
+        so the client must be reading while the server writes."""
+        store, server = loopback
+        value = os.urandom(1 << 20)
+        keys = [store.put(value) for _ in range(64)]
+        result = {}
+        with RemoteStore(server.address, timeout=30) as remote:
+            worker = threading.Thread(target=lambda: result.update(remote.get_many(keys)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive(), "get_many deadlocked"
+        assert len(result) == 64 and all(v == value for v in result.values())
+
+    def test_get_window_resent_on_a_new_connection(self, scripted):
+        """The first connection answers 4 of 10 GETs and hangs up; the 6
+        unanswered ones, and only they, go out again on a second."""
+        handler, address = scripted
+        keys = [handler.store.put(b"value %d" % i) for i in range(10)]
+        handler.plan.append((10, 4))
+        with RemoteStore(address, timeout=5) as remote:
+            found = remote.get_many(keys)
+        assert found == {key: b"value %d" % i for i, key in enumerate(keys)}
+        assert [len(r) for r in handler.received] == [10, 6]
+        assert [m.key for m in handler.received[1]] == [k.raw for k in keys[4:]]
+
+    def test_put_window_is_never_resent(self, scripted):
+        """The server applies all 10 PUTs, answers 4 and hangs up; the batch
+        raises, and nothing is sent again."""
+        handler, address = scripted
+        handler.plan.append((10, 4))
+        with RemoteStore(address, timeout=5) as remote:
+            with pytest.raises(UnreachableError, match="may or may not have been applied"):
+                remote.put_many([b"once %d" % i for i in range(10)])
+        assert len(handler.store) == 10
+        assert [len(r) for r in handler.received] == [10]
+
+    def test_error_mid_window_keeps_the_connection(self):
+        class ExplodingStore(MemoryStore):
+            def get(self, key):
+                if key.raw == b"boom":
+                    raise RuntimeError("disk on fire")
+                return super().get(key)
+
+        store = ExplodingStore(policy="sequence")
+        keys = [store.put(b"a"), store.put(b"b")]
+        with serve(store, ("127.0.0.1", 0)) as server, \
+                RemoteStore(server.address, timeout=5) as remote:
+            unknown = Key(b"\x77" * 8)
+            assert remote.get_many([keys[0], unknown, keys[1]]) == {keys[0]: b"a", keys[1]: b"b"}
+            sock = remote._sock
+            with pytest.raises(RemoteError, match="disk on fire"):
+                remote.get_many([keys[0], Key(b"boom"), keys[1]])
+            with pytest.raises(UnknownKeyError):
+                remote.get(unknown)
+            assert remote.get(keys[1]) == b"b"
+            assert remote._sock is sock  # the same connection throughout
+
+    def test_proxy_get_many_over_local_and_targets(self):
+        """Keys split over local and two targets, a dead target first; each
+        store is asked once, for the keys still missing."""
+        asked = []
+
+        class Counting(MemoryStore):
+            def get_many(self, keys):
+                asked.append((self, list(keys)))
+                return super().get_many(keys)
+
+        local, near, far = (Counting(policy="random") for _ in range(3))
+        with ProxyStore(local=local) as proxy:
+            proxy.add_target(f"127.0.0.1:{_free_port()}")
+            proxy.add_target(near)
+            proxy.add_target(far)
+            in_local = [local.put(b"l%d" % i) for i in range(3)]
+            in_near = [near.put(b"n%d" % i) for i in range(3)]
+            in_far = [far.put(b"f%d" % i) for i in range(3)]
+            unknown = Key(b"\x01" * 16)
+            keys = [in_far[0], unknown, *in_local, *in_near, in_far[1], in_far[0]]
+            expected = {}
+            for key in keys:
+                try:
+                    expected[key] = proxy.get(key)
+                except UnknownKeyError:
+                    pass
+            asked.clear()
+            assert proxy.get_many(keys) == expected
+        assert [store for store, _ in asked] == [local, near, far]
+        assert asked[1][1] == [in_far[0], unknown, *in_near, in_far[1]]
+        assert asked[2][1] == [in_far[0], unknown, in_far[1]]
+
+    def test_proxy_get_many_unreachable_like_get(self):
+        proxy = ProxyStore()
+        proxy.add_target(f"127.0.0.1:{_free_port()}")
+        with pytest.raises(AllTargetsUnreachableError) as info:
+            proxy.get_many([Key(b"\x01")])
+        assert [p.outcome for p in info.value.trace] == ["unreachable"]
+        assert proxy.get_many([]) == {}
+        assert ProxyStore().get_many([Key(b"\x01")]) == {}
+        with ProxyStore(local=MemoryStore(policy="random")) as proxy:
+            proxy.add_target(f"127.0.0.1:{_free_port()}")
+            assert proxy.get_many([Key(b"\x01")]) == {}  # a miss, then unreachable
+
+    def test_proxy_put_many_goes_to_the_put_target(self):
+        stores = [MemoryStore(policy="sequence") for _ in range(2)]
+        proxy = ProxyStore(put_policy=1)
+        for store in stores:
+            proxy.add_target(store)
+        keys = proxy.put_many([b"x", b"y"])
+        assert [stores[1].get(k) for k in keys] == [b"x", b"y"] and len(stores[0]) == 0
 
 
 class TestRootStoreBootstrap:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HalfWriteFile, crc32_reference
+from conftest import HalfWriteFile, check_batches_match_loops, crc32_reference
 from xbase.core import (
     CorruptionError,
     Key,
@@ -233,6 +233,14 @@ class TestRandomPolicy:
     def test_custom_key_len(self):
         store = MemoryStore(policy=RandomKeys(key_len=4))
         assert len(store.put(b"v").raw) == 4
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("policy", ("sequence", "content-hash"))
+def test_batches_match_loops(layout, policy, tmp_path):
+    with make_store(layout, tmp_path, policy, "batched") as batched, \
+            make_store(layout, tmp_path, policy, "looped") as looped:
+        check_batches_match_loops(batched, looped)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

@@ -1,12 +1,15 @@
 """Fragmentation: schema parsing, splitting documents, reassembly."""
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbase.core import InvalidRepresentationError, Key, Name, StoreID
+from xbase.core import InvalidRepresentationError, Key, Name, StoreID, UnknownKeyError
 from xbase.namer import MemoryNamer
+from xbase.netstore import ProxyStore
 from xbase.stores import MemoryStore
-from xbase.xmldoc import Element, Text, xml_parse, xml_serialize
+from xbase.xmldoc import Element, ParseError, Text, xml_parse, xml_serialize
 from xbase.xmlfrag import (
     AmbiguousNameError,
     CycleDetectedError,
@@ -379,3 +382,274 @@ def test_fragment_defragment_identity(doc, depth, mode):
     # every fragment is itself a well-formed document
     for _, body in store.bindings():
         xml_parse(body)
+
+
+# ---------------------------------------------------------------- level order
+#
+# fragment writes one put_many per tree level and defragment fetches one
+# level at a time; what they write, read and raise is checked against the
+# recursive, one-fragment-at-a-time definition below.
+
+_small_name_st = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def _small_docs(draw, depth=0):
+    children = ()
+    if depth < 3:
+        children = _merge(draw(st.lists(
+            st.one_of(_text_st.map(Text), _small_docs(depth=depth + 1)), max_size=4)))
+    return Element(draw(_small_name_st), (), children)
+
+
+def _schema_node_st(name, depth):
+    return st.builds(
+        lambda collapse, children: SchemaNode(name, collapse, () if collapse else children),
+        st.booleans(),
+        st.lists(st.sampled_from(["a", "b", "c", "*"]), max_size=3, unique=True).flatmap(
+            lambda names: st.tuples(*(_schema_node_st(n, depth + 1) for n in names))
+        ) if depth < 3 else st.just(()),
+    )
+
+
+def _schema_xml(node: SchemaNode) -> str:
+    tag = "frag:any" if node.element_name == "*" else node.element_name
+    collapse = ' frag:collapse="true"' if node.collapse else ""
+    inner = "".join(_schema_xml(child) for child in node.children)
+    return f"<{tag}{collapse}>{inner}</{tag}>"
+
+
+def _reference_fragment(element, snode, path, mode, prefix, sid_hex, bodies, names):
+    """Post-order, recursive fragmentation with content-hash keys: fills
+    bodies (key -> bytes) and names, and returns the x-ref for element."""
+    body = element
+    if not snode.collapse:
+        out, ordinals = [], {}
+        for child in element.children:
+            if isinstance(child, Text):
+                out.append(child)
+                continue
+            ordinal = ordinals[child.name] = ordinals.get(child.name, 0) + 1
+            match = snode.match_child(child.name)
+            if match is None:
+                out.append(child)
+                continue
+            out.append(_reference_fragment(child, match, f"{path}/{child.name}.{ordinal}",
+                                           mode, prefix, sid_hex, bodies, names))
+        body = Element(element.name, element.attributes, tuple(out))
+    data = xml_serialize(body)
+    key = Key(hashlib.sha256(data).digest())
+    bodies[key] = data
+    if mode == "name":
+        names.add((prefix + "/" + path, key))
+        return Element("x-ref", (("mode", "name"), ("n", prefix + "/" + path)))
+    if mode == "self":
+        return Element("x-ref", (("mode", "self"), ("k", key.hex), ("store-id", sid_hex)))
+    return Element("x-ref", (("mode", "key"), ("k", key.hex)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    doc=_small_docs(),
+    schema_root=st.booleans().flatmap(
+        lambda wild: _schema_node_st("*" if wild else "a", 0)),
+    mode=st.sampled_from(["key", "name", "self"]),
+)
+def test_random_schemas_round_trip_and_write_the_reference_records(doc, schema_root, mode):
+    schema = FragSchema.from_xml(_schema_xml(schema_root).encode())
+    assert schema.root == schema_root
+    if schema_root.element_name not in ("*", doc.name):
+        with pytest.raises(SchemaMismatchError):
+            fragment(doc, schema, MemoryStore(policy="content-hash"))
+        return
+    store = MemoryStore(policy="content-hash")
+    namer = MemoryNamer()
+    ref = fragment(doc, schema, store, mode=mode, namer=namer, name_prefix="t")
+    assert defragment(ref, store, namer=namer) == doc
+    bodies, names = {}, set()
+    _reference_fragment(doc, schema_root, f"{doc.name}.1", mode, "t",
+                        store.get_store_id().hex, bodies, names)
+    assert dict(store.bindings()) == bodies
+    assert {(name.text, key) for name, key in namer.bindings()} == names
+
+
+class _CountingStore(MemoryStore):
+    """Counts every key asked for, through get and get_many."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked: list[Key] = []
+        self.batches = 0
+
+    def get(self, key):
+        self.asked.append(key)
+        return super().get(key)
+
+    def get_many(self, keys):
+        self.batches += 1
+        keys = list(keys)
+        self.asked.extend(keys)
+        return {key: value for key, value in zip(keys, map(super().get, keys))}
+
+
+def _xref(key: Key) -> str:
+    return f'<x-ref mode="key" k="{key.hex}"/>'
+
+
+class TestFetchOncePerLevel:
+    def test_shared_fragment_is_fetched_once(self):
+        store = _CountingStore(policy="content-hash")
+        shared = store.put(b"<chapter>shared</chapter>")
+        book = store.put(f"<book>{_xref(shared)}{_xref(shared)}</book>".encode())
+        other = store.put(f"<book>{_xref(shared)}<t>x</t></book>".encode())
+        root = store.put(f"<lib>{_xref(book)}{_xref(other)}{_xref(shared)}</lib>".encode())
+        expected = xml_parse(
+            b"<lib><book><chapter>shared</chapter><chapter>shared</chapter></book>"
+            b"<book><chapter>shared</chapter><t>x</t></book><chapter>shared</chapter></lib>")
+        assert defragment(root, store) == expected
+        assert sorted(k.raw for k in store.asked) == sorted(
+            k.raw for k in (root, book, other, shared))
+        assert store.batches == 2  # the root, then the books and the chapter at once
+
+    def test_each_level_is_one_batch(self):
+        store = _CountingStore(policy="sequence")
+        doc = xml_parse(b"<r>" + b"<b><c>1</c><c>2</c></b>" * 5 + b"</r>")
+        key = fragment(doc, fully_expanded_schema(3), store)
+        assert defragment(key, store) == doc
+        assert store.batches == 3 and len(store.asked) == 1 + 5 + 10
+
+
+class TestDefragmentErrorsAsBefore:
+    """Every fault raises the type and message that one-at-a-time,
+    depth-first resolution raises, at the first fault in document order."""
+
+    def _raises(self, exc_type, message, root, store, **kwargs):
+        with pytest.raises(exc_type) as info:
+            defragment(root, store, **kwargs)
+        assert str(info.value) == message
+        return info.value
+
+    def test_unknown_key(self):
+        store = MemoryStore(policy="sequence")
+        root = store.put(("<r>" + _xref(Key(b"\x09" * 8)) + "</r>").encode())
+        self._raises(UnknownKeyError, "0909090909090909", root, store)
+
+    def test_unknown_key_through_a_proxy_keeps_its_trace(self):
+        local, target = MemoryStore(policy="sequence"), MemoryStore(policy="sequence")
+        proxy = ProxyStore(local=local)
+        proxy.add_target(target)
+        root = target.put(("<r>" + _xref(Key(b"\x09" * 8)) + "</r>").encode())
+        exc = self._raises(UnknownKeyError, "0909090909090909", root, proxy)
+        assert [p.outcome for p in exc.trace] == ["miss", "miss"]
+
+    def test_unbound_and_ambiguous_names(self):
+        store = MemoryStore(policy="random")
+        namer = MemoryNamer()
+        namer.bind(Name("m/two"), store.put(b"<a/>"))
+        namer.bind(Name("m/two"), store.put(b"<b/>"))
+        root = store.put(b'<r><x-ref mode="name" n="m/none"/></r>')
+        self._raises(AmbiguousNameError, "'m/none' resolves to 0 keys, need exactly 1",
+                     root, store, namer=namer)
+        root = store.put(b'<r><x-ref mode="name" n="m/two"/></r>')
+        self._raises(AmbiguousNameError, "'m/two' resolves to 2 keys, need exactly 1",
+                     root, store, namer=namer)
+        self._raises(ValueError, "name references require a namer", root, store)
+        root = store.put(b'<r><x-ref mode="name" n=""/></r>')
+        self._raises(ValueError, "name must be nonempty", root, store, namer=namer)
+
+    def test_cycle(self):
+        store = MemoryStore(policy="random")
+        k1, k2 = Key(b"\x01" * 8), Key(b"\x02" * 8)
+        store.put_with_key(f"<a>{_xref(k2)}</a>".encode(), k1)
+        store.put_with_key(f"<b><c>{_xref(k1)}</c></b>".encode(), k2)
+        self._raises(CycleDetectedError, "fragment 0101010101010101 references itself",
+                     k1, store)
+        self._raises(CycleDetectedError, "fragment 0202020202020202 references itself",
+                     k2, store)
+
+    @pytest.mark.parametrize("xref, message", [
+        ('<x-ref mode="key"/>', "x-ref lacks attribute 'k'"),
+        ('<x-ref mode="key" k="zz"/>', "bad x-ref key: invalid key hex: 'zz'"),
+        ('<x-ref mode="key" k=""/>', "bad x-ref key: key must be nonempty"),
+        ('<x-ref mode="name"/>', "name-mode x-ref lacks attribute 'n'"),
+        ('<x-ref mode="self" k="ab"/>', "self-mode x-ref lacks attribute 'store-id'"),
+        ('<x-ref mode="self" k="ab" store-id="abc"/>',
+         "bad store-id: invalid store id hex: 'abc'"),
+        ('<x-ref mode="warp" k="ab"/>', "unknown x-ref mode 'warp'"),
+        ("<x-ref/>", "unknown x-ref mode None"),
+        ('<x-ref mode="key" k="ab"><x/></x-ref>', "x-ref elements must be empty"),
+    ])
+    def test_malformed_xref(self, xref, message):
+        store = MemoryStore(policy="random")
+        root = store.put(f"<r><s>{xref}</s></r>".encode())
+        self._raises(InvalidRepresentationError, message, root, store, namer=MemoryNamer())
+
+    def test_unresolvable_store_id(self):
+        near = MemoryStore(policy="random")
+        sid = "00" * 16
+        root = near.put(f'<r><x-ref mode="self" k="ab" store-id="{sid}"/></r>'.encode())
+        message = f"no reachable store with id {sid}"
+        self._raises(UnresolvedReferenceError, message, root, near)
+        self._raises(UnresolvedReferenceError, message, root, near,
+                     store_resolver=lambda s: None)
+
+    def test_unparsable_fragment(self):
+        store = MemoryStore(policy="random")
+        bad = store.put(b"<a><b></a>")
+        root = store.put(f"<r>{_xref(bad)}</r>".encode())
+        self._raises(ParseError, "offset 6: mismatched tag: expected </b>, got </a>",
+                     root, store)
+        self._raises(ParseError, "offset 6: mismatched tag: expected </b>, got </a>",
+                     bad, store)
+
+    def test_first_fault_in_document_order_wins(self):
+        """A fault deep under the first reference beats a fault one level
+        below the root under the second, and the other way round."""
+        store = MemoryStore(policy="random")
+        missing = Key(b"\x09" * 8)
+        deep = store.put(f"<d>{_xref(missing)}</d>".encode())
+        mid = store.put(f"<m>{_xref(deep)}</m>".encode())
+        root = store.put(f'<r>{_xref(mid)}<x-ref mode="warp"/></r>'.encode())
+        self._raises(UnknownKeyError, missing.hex, root, store)
+        root = store.put(f'<r><x-ref mode="warp"/>{_xref(mid)}</r>'.encode())
+        self._raises(InvalidRepresentationError, "unknown x-ref mode 'warp'", root, store)
+
+
+def _without_recursion(fn, *args, **kwargs):
+    """fn(*args, **kwargs), failing at once on RecursionError: pytest would
+    spend minutes comparing the deep trees held by thousands of frames."""
+    try:
+        return fn(*args, **kwargs)
+    except RecursionError:
+        pass
+    pytest.fail(f"{fn.__name__} recursed once per level")
+
+
+class TestDeepInput:
+    DEPTH = 5000
+
+    def _chain(self):
+        return xml_parse(b"<a>" * (self.DEPTH - 1) + b"<a/>" + b"</a>" * (self.DEPTH - 1))
+
+    def test_defragment_of_a_deep_fragmented_document(self):
+        store = MemoryStore(policy="sequence")
+        key = store.put(b"<a/>")
+        for _ in range(self.DEPTH - 1):
+            key = store.put(f"<a>{_xref(key)}</a>".encode())
+        assert _without_recursion(defragment, key, store) == self._chain()
+
+    def test_fragment_with_a_deep_expanded_schema(self):
+        store = MemoryStore(policy="sequence")
+        doc = self._chain()
+        key = _without_recursion(fragment, doc, fully_expanded_schema(self.DEPTH), store)
+        assert len(store) == self.DEPTH
+        assert defragment(key, store) == doc
+
+    def test_schema_from_deep_xml(self):
+        schema = _without_recursion(
+            FragSchema.from_xml, b"<a>" * self.DEPTH + b"</a>" * self.DEPTH)
+        node, depth = schema.root, 1
+        while node.children:
+            (node,) = node.children
+            depth += 1
+        assert depth == self.DEPTH and node == SchemaNode("a")
