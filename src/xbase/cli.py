@@ -13,7 +13,6 @@ the proxy configured under the home directory. Values come from --hex,
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
@@ -276,6 +275,8 @@ def _interrupt(signum, frame):
 
 
 def _cmd_serve(args) -> int:
+    import signal  # here, not at the top: no other command pays for it
+
     # SIGTERM stops the server as Ctrl-C does, so the store still closes:
     # its log is fsynced and its hint written
     previous = signal.signal(signal.SIGTERM, _interrupt)

@@ -393,19 +393,22 @@ _WINDOW_REQUESTS = 128
 _WINDOW_BYTES = 32 << 10
 
 
-def _windows(requests: Iterable[WireMessage]) -> Iterator[list[bytes]]:
-    """Encode requests lazily and group the frames into windows."""
+def _windows(requests: Iterable[WireMessage]) -> Iterator[tuple[list[bytes], bool]]:
+    """Encode requests lazily and group the frames into windows; yields
+    each window with whether it holds a PUT."""
     window: list[bytes] = []
     size = 0
+    put = False
     for msg in requests:
         frame = encode_message(msg)
         if window and (len(window) == _WINDOW_REQUESTS or size + len(frame) > _WINDOW_BYTES):
-            yield window
-            window, size = [], 0
+            yield window, put
+            window, size, put = [], 0, False
         window.append(frame)
         size += len(frame)
+        put = put or frame[4] == OP_PUT
     if window:
-        yield window
+        yield window, put
 
 
 class RemoteStore(Store):
@@ -449,30 +452,29 @@ class RemoteStore(Store):
         error raises once its window has been read, so framing is kept."""
         out: list[WireMessage | None] = []
         with self._lock:
-            for window in _windows(requests):
-                for response in self._send_window(window):
-                    if isinstance(response, ErrResponse):
-                        if missing_ok and response.code == ERR_UNKNOWN_KEY:
-                            out.append(None)
-                            continue
-                        _raise_remote(response)
-                    if not isinstance(response, expected):
+            for window, put in _windows(requests):
+                for response in self._send_window(window, put):
+                    if isinstance(response, expected):
+                        out.append(response)
+                    elif not isinstance(response, ErrResponse):
                         raise RemoteError(f"unexpected response {type(response).__name__}")
-                    out.append(response)
+                    elif missing_ok and response.code == ERR_UNKNOWN_KEY:
+                        out.append(None)
+                    else:
+                        _raise_remote(response)
         return out
 
-    def _send_window(self, frames: list[bytes]) -> list[WireMessage]:
+    def _send_window(self, frames: list[bytes], put: bool) -> list[WireMessage]:
         # A broken connection may just be stale: resend the unanswered
         # requests once on a new one, but never a window holding a PUT,
         # which the server may already have applied.
-        put = any(frame[4] == OP_PUT for frame in frames)
         responses: list[WireMessage] = []
         for final in (put, True):
             if self._sock is None:
                 self._connect()
             try:
                 self._sock.sendall(b"".join(frames[len(responses):]))
-                while len(responses) < len(frames):
+                for _ in range(len(frames) - len(responses)):
                     responses.append(read_message(self._rfile.read))
                 return responses
             except (OSError, TruncatedStreamError) as exc:
