@@ -43,7 +43,7 @@ import socketserver
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import (
     BitString,
@@ -393,24 +393,6 @@ _WINDOW_REQUESTS = 128
 _WINDOW_BYTES = 32 << 10
 
 
-def _windows(requests: Iterable[WireMessage]) -> Iterator[tuple[list[bytes], bool]]:
-    """Encode requests lazily and group the frames into windows; yields
-    each window with whether it holds a PUT."""
-    window: list[bytes] = []
-    size = 0
-    put = False
-    for msg in requests:
-        frame = encode_message(msg)
-        if window and (len(window) == _WINDOW_REQUESTS or size + len(frame) > _WINDOW_BYTES):
-            yield window, put
-            window, size, put = [], 0, False
-        window.append(frame)
-        size += len(frame)
-        put = put or frame[4] == OP_PUT
-    if window:
-        yield window, put
-
-
 class RemoteStore(Store):
     """Store client over the wire protocol; connects lazily, pipelines
     batches a window at a time, and resends only windows without a PUT,
@@ -449,22 +431,30 @@ class RemoteStore(Store):
                   missing_ok: bool = False) -> list[WireMessage | None]:
         """Send requests a window at a time and return their responses in
         order. With missing_ok an UnknownKey error gives None; any other
-        error raises once its window has been read, so framing is kept."""
+        error raises once its window has been read, so framing is kept.
+        Requests are encoded as their window fills."""
         out: list[WireMessage | None] = []
+        window: list[bytes] = []
+        size = 0
+        put = False  # whether the window holds a PUT
         with self._lock:
-            for window, put in _windows(requests):
-                for response in self._send_window(window, put):
-                    if isinstance(response, expected):
-                        out.append(response)
-                    elif not isinstance(response, ErrResponse):
-                        raise RemoteError(f"unexpected response {type(response).__name__}")
-                    elif missing_ok and response.code == ERR_UNKNOWN_KEY:
-                        out.append(None)
-                    else:
-                        _raise_remote(response)
+            for msg in requests:
+                frame = encode_message(msg)
+                if window and (len(window) == _WINDOW_REQUESTS
+                               or size + len(frame) > _WINDOW_BYTES):
+                    self._send_window(window, put, expected, missing_ok, out)
+                    window, size, put = [], 0, False
+                window.append(frame)
+                size += len(frame)
+                put = put or frame[4] == OP_PUT
+            if window:
+                self._send_window(window, put, expected, missing_ok, out)
         return out
 
-    def _send_window(self, frames: list[bytes], put: bool) -> list[WireMessage]:
+    def _send_window(self, frames: list[bytes], put: bool, expected: type,
+                     missing_ok: bool, out: list[WireMessage | None]) -> None:
+        """Send one window, read all its responses, then append them to out
+        as _exchange describes."""
         # A broken connection may just be stale: resend the unanswered
         # requests once on a new one, but never a window holding a PUT,
         # which the server may already have applied.
@@ -476,7 +466,7 @@ class RemoteStore(Store):
                 self._sock.sendall(b"".join(frames[len(responses):]))
                 for _ in range(len(frames) - len(responses)):
                     responses.append(read_message(self._rfile.read))
-                return responses
+                break
             except (OSError, TruncatedStreamError) as exc:
                 self._drop()
                 if final:
@@ -487,6 +477,15 @@ class RemoteStore(Store):
             except MalformedMessageError:
                 self._drop()  # framing is lost
                 raise
+        for response in responses:
+            if isinstance(response, expected):
+                out.append(response)
+            elif not isinstance(response, ErrResponse):
+                raise RemoteError(f"unexpected response {type(response).__name__}")
+            elif missing_ok and response.code == ERR_UNKNOWN_KEY:
+                out.append(None)
+            else:
+                _raise_remote(response)
 
     def _request(self, msg: WireMessage, expected: type) -> WireMessage:
         return self._exchange((msg,), expected)[0]

@@ -168,20 +168,17 @@ def fully_expanded_schema(depth: int) -> FragSchema:
     return FragSchema(node)
 
 
+@dataclass(slots=True, eq=False)
 class _Piece:
     """One fragment being written: its element, its schema node, its name
     path, and where its x-ref goes in the parent's body."""
 
-    __slots__ = ("element", "snode", "path", "parent", "slot", "body")
-
-    def __init__(self, element: Element, snode: SchemaNode, path: str,
-                 parent: "_Piece | None", slot: int):
-        self.element = element
-        self.snode = snode
-        self.path = path  # "doc.1/book.2"; only name mode uses it
-        self.parent = parent
-        self.slot = slot
-        self.body: list[XmlNode] | None = None  # children, None while collapsed
+    element: Element
+    snode: SchemaNode
+    path: str  # "doc.1/book.2"; only name mode uses it
+    parent: "_Piece | None"
+    slot: int
+    body: list[XmlNode] | None = None  # children, None while collapsed
 
 
 def _split_levels(doc: Element, root_snode: SchemaNode, name_paths: bool) -> list[list[_Piece]]:
