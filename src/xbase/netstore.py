@@ -11,9 +11,9 @@ by an opcode-specific payload using u32 big-endian length prefixes:
 
 ERR codes: 0x01 UnknownKey, 0x02 KeyConflict, 0x03 KeyMismatch,
 0x04 Malformed, 0x05 Internal. One request yields exactly one response;
-requests on a connection are handled in order, and both ends set
-TCP_NODELAY. Declared lengths above 64 MiB are rejected before any
-allocation.
+the server's handler, a stdlib StreamRequestHandler, answers the requests
+on a connection in order, and both ends set TCP_NODELAY. Declared lengths
+above 64 MiB are rejected before any allocation.
 
 RemoteStore pipelines: get_many and put_many send a window of requests
 (at most 128 of them and 32 KiB of request bytes, so they fit the socket
@@ -30,10 +30,11 @@ lost; the next request goes out on a new one.
 
 The ProxyStore holds no data of its own unless given a local backing
 store. Its targets are plain stores; a "host:port" address becomes a
-RemoteStore that the proxy owns and closes. Gets probe local first, then
-each target in insertion order, skipping unreachable ones; get_many does
-the same with one batch per store for the keys still missing. Puts go to
-one store chosen by the put policy.
+RemoteStore that the proxy owns and closes. get, get_with_trace and
+get_many share one probe loop: local first, then each target in insertion
+order, skipping unreachable ones, with one get_many per store for the keys
+still missing; a single get is a batch of one. Puts go to one store chosen
+by the put policy.
 """
 from __future__ import annotations
 
@@ -296,19 +297,18 @@ def parse_address(address: str) -> tuple[str, int]:
         raise ValueError(f"bad port in {address!r}") from None
 
 
-class _Handler(socketserver.BaseRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
+    # one response per request: Nagle would hold back the second of a burst
+    disable_nagle_algorithm = True
+
     def handle(self):
         store: Store = self.server.store  # type: ignore[attr-defined]
-        # one response per request: Nagle would hold back the second of a burst
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        rfile = self.request.makefile("rb")
-        wfile = self.request.makefile("wb")
         try:
             while True:
                 try:
-                    msg = read_message(rfile.read, allow_eof=True)
+                    msg = read_message(self.rfile.read, allow_eof=True)
                 except MalformedMessageError as exc:
-                    self._respond(wfile, _error_response(exc))
+                    self.wfile.write(encode_message(_error_response(exc)))
                     return  # framing is lost, drop the connection
                 if msg is None:
                     return
@@ -316,15 +316,9 @@ class _Handler(socketserver.BaseRequestHandler):
                     response = self._dispatch(store, msg)
                 except Exception as exc:  # never kill the server on a request
                     response = _error_response(exc)
-                self._respond(wfile, response)
+                self.wfile.write(encode_message(response))
         except (OSError, ValueError):
             return  # client went away mid-write
-        finally:
-            for f in (wfile, rfile):
-                try:
-                    f.close()
-                except OSError:
-                    pass
 
     @staticmethod
     def _dispatch(store: Store, msg: WireMessage) -> WireMessage:
@@ -333,10 +327,10 @@ class _Handler(socketserver.BaseRequestHandler):
             raise MalformedMessageError(f"{type(msg).__name__} is not a request")
         return handler(store, msg)
 
-    @staticmethod
-    def _respond(wfile, response: WireMessage) -> None:
-        wfile.write(encode_message(response))
-        wfile.flush()
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class StoreServer:
@@ -345,29 +339,30 @@ class StoreServer:
     def __init__(self, store: Store, address: str | tuple[str, int]):
         if isinstance(address, str):
             address = parse_address(address)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
         self._server = _Server(address, _Handler)
         self._server.store = store  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._looped = False  # whether a serve loop was started, in any thread
 
     @property
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
     def start(self) -> "StoreServer":
+        self._looped = True
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
+        self._looped = True
         self._server.serve_forever()
 
     def stop(self) -> None:
-        self._server.shutdown()
+        # shutdown() waits for a serve loop to end: forever if none was
+        # started, and briefly for one started but not yet running.
+        if self._looped:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -528,22 +523,19 @@ class ProbeRecord:
     outcome: str  # "hit" | "miss" | "unreachable"
 
 
-def _target_identity(target: Store | str) -> Store | tuple[str, int]:
-    """What makes two targets the same: the (host, port) of an address or
-    a RemoteStore, else the store object itself."""
+def _identify(target: Store | str) -> tuple[Store | tuple[str, int], str]:
+    """A target's identity and probe label. Two targets are the same when
+    they have the same (host, port), as an address or a RemoteStore, or
+    are the same store object."""
     if isinstance(target, str):
-        return parse_address(target)
-    if isinstance(target, RemoteStore):
-        return target.address
-    if isinstance(target, Store):
-        return target
-    raise TypeError("target must be an address string or a Store")
-
-
-def _label(identity: Store | tuple[str, int]) -> str:
-    if isinstance(identity, tuple):
-        return f"{identity[0]}:{identity[1]}"
-    return f"store:{id(identity):#x}"
+        address = parse_address(target)
+    elif isinstance(target, RemoteStore):
+        address = target.address
+    elif isinstance(target, Store):
+        return target, f"store:{id(target):#x}"
+    else:
+        raise TypeError("target must be an address string or a Store")
+    return address, f"{address[0]}:{address[1]}"
 
 
 class ProxyStore(Store):
@@ -564,8 +556,8 @@ class ProxyStore(Store):
         self.put_policy = put_policy
         self._local = local
         self._id = store_id or StoreID.generate()
-        self._targets: list[Store] = []
-        self._owned: list[RemoteStore] = []  # made here from addresses
+        # identity -> (probe label, store, whether made here from an address)
+        self._targets: dict[Store | tuple[str, int], tuple[str, Store, bool]] = {}
         self._lock = threading.RLock()
 
     @property
@@ -584,75 +576,74 @@ class ProxyStore(Store):
 
     def targets(self) -> list[Store]:
         with self._lock:
-            return list(self._targets)
-
-    def _index_of(self, identity: Store | tuple[str, int]) -> int | None:
-        for i, existing in enumerate(self._targets):
-            if _target_identity(existing) == identity:
-                return i
-        return None
+            return [store for _, store, _ in self._targets.values()]
 
     def add_target(self, target: Store | str) -> Store:
         """Register a store, or a "host:port" address as a RemoteStore;
         return the store registered."""
-        identity = _target_identity(target)
+        identity, label = _identify(target)
         with self._lock:
-            if self._index_of(identity) is not None:
-                raise DuplicateTargetError(f"target {_label(identity)} already present")
-            if isinstance(target, str):
+            if identity in self._targets:
+                raise DuplicateTargetError(f"target {label} already present")
+            made = isinstance(target, str)
+            if made:
                 target = RemoteStore(identity)
-                self._owned.append(target)
-            self._targets.append(target)
+            self._targets[identity] = (label, target, made)
         return target
 
     def remove_target(self, target: Store | str) -> None:
-        identity = _target_identity(target)
+        identity, label = _identify(target)
         with self._lock:
-            i = self._index_of(identity)
-            if i is None:
-                raise UnknownTargetError(f"target {_label(identity)} is not registered")
-            removed = self._targets.pop(i)
-            self._owned = [s for s in self._owned if s is not removed]
+            if self._targets.pop(identity, None) is None:
+                raise UnknownTargetError(f"target {label} is not registered")
 
     def close(self) -> None:
         with self._lock:
-            owned = list(self._owned)
+            owned = [store for _, store, made in self._targets.values() if made]
         for store in owned:
             store.close()
 
     def get_store_id(self) -> StoreID:
         return self._id  # the proxy is a store instance in its own right
 
-    def _candidates(self) -> list[tuple[str, Store]]:
-        """(label, store) in probe order: local, then a snapshot of the targets."""
+    def _probe(self, keys: Iterable[Key]) -> tuple[dict[Key, BitString], list[ProbeRecord]]:
+        """Ask local, then each target in insertion order, with one get_many
+        for the keys still missing. Returns the values found and one record
+        per store asked, a hit if it had any of those keys. Raises
+        AllTargetsUnreachableError, with the trace as .trace, when keys are
+        left and no store could be queried."""
         candidates = [("local", self._local)] if self._local is not None else []
-        candidates += [(_label(_target_identity(s)), s) for s in self.targets()]
-        return candidates
+        with self._lock:
+            candidates += [(label, store) for label, store, _ in self._targets.values()]
+        missing = list(dict.fromkeys(keys))
+        found: dict[Key, BitString] = {}
+        trace: list[ProbeRecord] = []
+        for label, store in candidates:
+            if not missing:
+                break
+            try:
+                hits = store.get_many(missing)
+            except (UnreachableError, OSError):
+                trace.append(ProbeRecord(label, "unreachable"))
+                continue
+            trace.append(ProbeRecord(label, "hit" if hits else "miss"))
+            found.update(hits)
+            missing = [key for key in missing if key not in hits]
+        if missing and candidates and all(p.outcome == "unreachable" for p in trace):
+            exc = AllTargetsUnreachableError(
+                f"all {len(candidates)} candidates unreachable for key {missing[0].hex}"
+            )
+            exc.trace = trace
+            raise exc
+        return found, trace
 
     def get_with_trace(self, key: Key) -> tuple[BitString, list[ProbeRecord]]:
         """Like get, but also returns the probe trace. On failure the raised
         error carries the trace as a .trace attribute."""
-        candidates = self._candidates()
-        trace: list[ProbeRecord] = []
-        queried = 0
-        for label, store in candidates:
-            try:
-                value = store.get(key)
-            except UnknownKeyError:
-                trace.append(ProbeRecord(label, "miss"))
-                queried += 1
-                continue
-            except (UnreachableError, OSError):
-                trace.append(ProbeRecord(label, "unreachable"))
-                continue
-            trace.append(ProbeRecord(label, "hit"))
-            return value, trace
-        if candidates and queried == 0:
-            exc: XbaseError = AllTargetsUnreachableError(
-                f"all {len(candidates)} candidates unreachable for key {key.hex}"
-            )
-        else:
-            exc = UnknownKeyError(key.hex)
+        found, trace = self._probe((key,))
+        if key in found:
+            return found[key], trace
+        exc = UnknownKeyError(key.hex)
         exc.trace = trace
         raise exc
 
@@ -661,34 +652,12 @@ class ProxyStore(Store):
         return value
 
     def get_many(self, keys: Iterable[Key]) -> dict[Key, BitString]:
-        """Like get for each key: one batch to the local store, then one to
-        each target in turn for the keys still missing."""
-        missing = list(dict.fromkeys(keys))
-        candidates = self._candidates()
-        found: dict[Key, BitString] = {}
-        unreachable: list[ProbeRecord] = []
-        for label, store in candidates:
-            if not missing:
-                break
-            try:
-                hits = store.get_many(missing)
-            except (UnreachableError, OSError):
-                unreachable.append(ProbeRecord(label, "unreachable"))
-                continue
-            found.update(hits)
-            missing = [key for key in missing if key not in hits]
-        if missing and candidates and len(unreachable) == len(candidates):
-            exc = AllTargetsUnreachableError(
-                f"all {len(candidates)} candidates unreachable for key {missing[0].hex}"
-            )
-            exc.trace = unreachable
-            raise exc
-        return found
+        """Like get for each key, with one batch per store asked."""
+        return self._probe(keys)[0]
 
     def _put_target(self) -> Store:
-        with self._lock:
-            targets = list(self._targets)
-            policy = self._put_policy
+        targets = self.targets()
+        policy = self._put_policy
         if policy == "local-first":
             if self._local is not None:
                 return self._local

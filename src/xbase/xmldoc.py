@@ -20,7 +20,9 @@ the trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter
 
 from .core import XbaseError
 
@@ -54,6 +56,81 @@ def _check_char_data(text: str, what: str) -> None:
         raise ValueError(f"{what} contains unpaired surrogates") from None
 
 
+@cache
+def _getters(cls: type) -> tuple[attrgetter, attrgetter, tuple[str, ...]]:
+    """For a _Tree dataclass: getters of its fields before children and of
+    all its fields, and the names before children."""
+    names = tuple(f.name for f in fields(cls))
+    return attrgetter(*names[:-1]), attrgetter(*names), names[:-1]
+
+
+class _Tree:
+    """Base of a frozen dataclass whose last field, children, may hold nodes
+    of its kind; the dataclass passes eq=False and repr=False. ==, hash()
+    and repr() give what the dataclass-generated methods would, over an
+    explicit stack, so any depth works. Each node caches its hash; pickling
+    and copying leave the cache out, as str hashes differ between processes."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            head = _getters(a.__class__)[0]
+            if head(a) != head(b) or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if isinstance(x, _Tree) and y.__class__ is x.__class__:
+                    pending.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        pending = [self]
+        while pending:
+            node = pending[-1]
+            unhashed = [c for c in node.children
+                        if isinstance(c, _Tree) and "_hash" not in c.__dict__]
+            if unhashed:
+                pending.extend(unhashed)
+                continue
+            pending.pop()
+            if "_hash" not in node.__dict__:
+                # every child node's hash is cached, so this does not recurse
+                object.__setattr__(node, "_hash", hash(_getters(node.__class__)[1](node)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    def __repr__(self):
+        parts: list[str] = []
+        pending: list = [self]  # nodes still to write, and closing text (str)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif not isinstance(node, _Tree):
+                parts.append(repr(node))
+            else:
+                parts.append(f"{node.__class__.__qualname__}(")
+                for name in _getters(node.__class__)[2]:
+                    parts.append(f"{name}={getattr(node, name)!r}, ")
+                parts.append("children=(")
+                pending.append(",))" if len(node.children) == 1 else "))")
+                for i in range(len(node.children) - 1, -1, -1):
+                    pending.append(node.children[i])
+                    if i:
+                        pending.append(", ")
+        return "".join(parts)
+
+
 @dataclass(frozen=True)
 class Text:
     """Character data; never empty so documents have one canonical shape."""
@@ -66,8 +143,8 @@ class Text:
             raise ValueError("text node must be nonempty")
 
 
-@dataclass(frozen=True)
-class Element:
+@dataclass(frozen=True, eq=False, repr=False)
+class Element(_Tree):
     name: str
     attributes: tuple[tuple[str, str], ...] = ()
     children: tuple["Element | Text", ...] = ()
@@ -114,68 +191,6 @@ class Element:
     def text(self) -> str:
         """Concatenated direct text content."""
         return "".join(c.content for c in self.children if isinstance(c, Text))
-
-    # ==, hash() and repr() give what the dataclass-generated methods would,
-    # over an explicit stack, so any depth works. Each element caches its
-    # hash; pickling and copying leave the cache out, as str hashes differ
-    # between processes.
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if (a.name != b.name or a.attributes != b.attributes
-                    or len(a.children) != len(b.children)):
-                return False
-            for x, y in zip(a.children, b.children):
-                if x is y:
-                    continue
-                if isinstance(x, Element) and y.__class__ is x.__class__:
-                    pending.append((x, y))
-                elif not x == y:
-                    return False
-        return True
-
-    def __hash__(self):
-        pending = [self]
-        while pending:
-            node = pending[-1]
-            unhashed = [c for c in node.children
-                        if isinstance(c, Element) and "_hash" not in c.__dict__]
-            if unhashed:
-                pending.extend(unhashed)
-                continue
-            pending.pop()
-            if "_hash" not in node.__dict__:
-                # every child element's hash is cached, so this does not recurse
-                object.__setattr__(node, "_hash", hash((node.name, node.attributes, node.children)))
-        return self.__dict__["_hash"]
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __repr__(self):
-        parts: list[str] = []
-        pending: list = [self]  # nodes still to write, and closing text (str)
-        while pending:
-            node = pending.pop()
-            if isinstance(node, str):
-                parts.append(node)
-            elif not isinstance(node, Element):
-                parts.append(repr(node))
-            else:
-                parts.append(f"{node.__class__.__qualname__}(name={node.name!r}, "
-                             f"attributes={node.attributes!r}, children=(")
-                pending.append(",))" if len(node.children) == 1 else "))")
-                for i in range(len(node.children) - 1, -1, -1):
-                    pending.append(node.children[i])
-                    if i:
-                        pending.append(", ")
-        return "".join(parts)
 
 
 XmlNode = Element | Text

@@ -40,7 +40,8 @@ from .core import (
     StoreID,
     XbaseError,
 )
-from .xmldoc import Element, Text, XmlNode, _trusted, iter_elements, xml_parse, xml_serialize
+from .xmldoc import (Element, Text, XmlNode, _trusted, _Tree, iter_elements, xml_parse,
+                     xml_serialize)
 
 XREF_NAME = "x-ref"
 WILDCARD = "*"
@@ -77,8 +78,8 @@ class UnresolvedReferenceError(XbaseError):
     """A self-describing reference names a store we cannot reach."""
 
 
-@dataclass(frozen=True)
-class SchemaNode:
+@dataclass(frozen=True, eq=False, repr=False)
+class SchemaNode(_Tree):
     element_name: str
     collapse: bool = False
     children: tuple["SchemaNode", ...] = ()
@@ -295,22 +296,15 @@ class _Fragment:
 
 
 class _Defrag:
-    """One defragment call: resolves references, memoizes store ids, names,
-    resolved stores and parsed fragments, and assembles the document."""
+    """One defragment call: resolves references, memoizes names, resolved
+    stores and parsed fragments, and assembles the document."""
 
     def __init__(self, namer: Namer | None, store_resolver: StoreResolver | None):
         self.namer = namer
         self.store_resolver = store_resolver
-        self.ids: dict[int, tuple[Store, bytes]] = {}  # id(store) -> (store, its id)
         self.names: dict[str, Key] = {}
         self.stores: dict[bytes, Store] = {}
         self.fragments: dict[tuple[bytes, bytes], _Fragment] = {}
-
-    def store_id(self, store: Store) -> bytes:
-        hit = self.ids.get(id(store))
-        if hit is None:
-            hit = self.ids[id(store)] = (store, store.get_store_id().raw)
-        return hit[1]
 
     def lookup(self, name: Name) -> Key:
         key = self.names.get(name.text)
@@ -319,7 +313,7 @@ class _Defrag:
         return key
 
     def resolve_store(self, sid: StoreID, current: Store) -> Store:
-        if self.store_id(current) == sid.raw:
+        if current.get_store_id().raw == sid.raw:
             return current
         store = self.stores.get(sid.raw)
         if store is None and self.store_resolver is not None:
@@ -362,7 +356,7 @@ class _Defrag:
             wanted: dict[int, tuple[Store, bytes, dict[Key, None]]] = {}
             for key, store in level:
                 try:
-                    sid = self.store_id(store)
+                    sid = store.get_store_id().raw
                 except Exception:
                     continue
                 if (sid, key.raw) not in self.fragments:
@@ -389,7 +383,7 @@ class _Defrag:
         """Open a fragment for assembly: its cycle check, then the memo, or
         a get and parse if the fetch left it out. A fragment without x-refs
         is returned whole; any other comes back as a new stack frame."""
-        node_id = (self.store_id(store), key.raw)
+        node_id = (store.get_store_id().raw, key.raw)
         if node_id in on_path:
             raise CycleDetectedError(f"fragment {key.hex} references itself")
         fragment = self.fragments.get(node_id)

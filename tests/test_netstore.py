@@ -1,4 +1,5 @@
 """Wire codec, server loopback behavior, remote client, proxy store."""
+import itertools
 import os
 import socket
 import socketserver
@@ -433,6 +434,34 @@ class TestServerAndRemote:
             for i, key in enumerate(keys):
                 assert store.get(key) == f"{worker_id}:{i}".encode()
 
+    def test_stop_returns_when_no_loop_ran(self):
+        """stop() of a server that never served, alone or on leaving a with
+        block whose body raised, and stop() right after start()."""
+        done = []
+
+        def never_served():
+            StoreServer(MemoryStore(), ("127.0.0.1", 0)).stop()
+            done.append("stop")
+
+        def body_raised():
+            try:
+                with StoreServer(MemoryStore(), ("127.0.0.1", 0)):
+                    raise RuntimeError
+            except RuntimeError:
+                done.append("with")
+
+        def started():
+            serve(MemoryStore(), ("127.0.0.1", 0)).stop()
+            done.append("start")
+
+        threads = [threading.Thread(target=fn, daemon=True)
+                   for fn in (never_served, body_raised, started)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert sorted(done) == ["start", "stop", "with"]
+
     def test_server_context_manager_and_explicit_loop(self):
         store = MemoryStore(policy="random")
         with StoreServer(store, "127.0.0.1:0") as server:
@@ -821,6 +850,174 @@ class TestBatches:
             proxy.add_target(store)
         keys = proxy.put_many([b"x", b"y"])
         assert [stores[1].get(k) for k in keys] == [b"x", b"y"] and len(stores[0]) == 0
+
+
+# The two probe loops ProxyStore had before get_with_trace, get and
+# get_many shared one, kept as the reference for the differential test.
+# A nested ProxyStore is probed with the reference loops too.
+
+
+def _reference_candidates(proxy: ProxyStore) -> list[tuple[str, Store]]:
+    candidates = [("local", proxy.local)] if proxy.local is not None else []
+    for store in proxy.targets():
+        if isinstance(store, RemoteStore):
+            label = f"{store.address[0]}:{store.address[1]}"
+        else:
+            label = f"store:{id(store):#x}"
+        candidates.append((label, store))
+    return candidates
+
+
+def _reference_get(store: Store, key: Key) -> BitString:
+    if isinstance(store, ProxyStore):
+        return _reference_get_with_trace(store, key)[0]
+    return store.get(key)
+
+
+def _reference_get_with_trace(proxy: ProxyStore, key: Key):
+    candidates = _reference_candidates(proxy)
+    trace = []
+    queried = 0
+    for label, store in candidates:
+        try:
+            value = _reference_get(store, key)
+        except UnknownKeyError:
+            trace.append(ProbeRecord(label, "miss"))
+            queried += 1
+            continue
+        except (UnreachableError, OSError):
+            trace.append(ProbeRecord(label, "unreachable"))
+            continue
+        trace.append(ProbeRecord(label, "hit"))
+        return value, trace
+    if candidates and queried == 0:
+        exc = AllTargetsUnreachableError(
+            f"all {len(candidates)} candidates unreachable for key {key.hex}"
+        )
+    else:
+        exc = UnknownKeyError(key.hex)
+    exc.trace = trace
+    raise exc
+
+
+def _reference_get_many(store: Store, keys) -> dict:
+    if not isinstance(store, ProxyStore):
+        return store.get_many(keys)
+    missing = list(dict.fromkeys(keys))
+    candidates = _reference_candidates(store)
+    found = {}
+    unreachable = []
+    for label, candidate in candidates:
+        if not missing:
+            break
+        try:
+            hits = _reference_get_many(candidate, missing)
+        except (UnreachableError, OSError):
+            unreachable.append(ProbeRecord(label, "unreachable"))
+            continue
+        found.update(hits)
+        missing = [key for key in missing if key not in hits]
+    if missing and candidates and len(unreachable) == len(candidates):
+        exc = AllTargetsUnreachableError(
+            f"all {len(candidates)} candidates unreachable for key {missing[0].hex}"
+        )
+        exc.trace = unreachable
+        raise exc
+    return found
+
+
+def _outcome(fn, *args):
+    """What a call gives: its result, or its error's type, message and trace."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+
+
+@pytest.fixture(scope="module")
+def live_server():
+    store = MemoryStore(policy="content-hash")
+    with serve(store, ("127.0.0.1", 0)) as server:
+        yield store, server
+
+
+def _dead_addresses(n: int) -> list[str]:
+    """n distinct local addresses nothing listens on."""
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for sock in socks:
+            sock.bind(("127.0.0.1", 0))
+        return [f"127.0.0.1:{sock.getsockname()[1]}" for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+_example_tags = itertools.count()
+
+
+class TestProxyAgainstTheTwoLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_same_values_traces_and_errors(self, live_server, data):
+        """Keys placed over a local store, a nested ProxyStore, a MemoryStore
+        and a served store as targets (any of them may be left out) and up to
+        two dead addresses, in any order; the nested proxy has its own local
+        store, MemoryStore target and dead address, each optional."""
+        backing, server = live_server
+        homes = []  # the stores values can be placed in
+
+        def memory() -> MemoryStore:
+            homes.append(MemoryStore(policy="content-hash"))
+            return homes[-1]
+
+        dead = _dead_addresses(3)
+        inner = ProxyStore(local=memory() if data.draw(st.booleans()) else None)
+        if data.draw(st.booleans()):
+            inner.add_target(memory())
+        if data.draw(st.booleans()):
+            inner.add_target(dead[2])
+        live = data.draw(st.lists(st.sampled_from(["nested", "memory", "remote"]),
+                                  unique=True, max_size=3))
+        targets = live + dead[:data.draw(st.integers(0, 2))]
+        targets = data.draw(st.permutations(targets))
+        proxy = ProxyStore(local=memory() if data.draw(st.booleans()) else None)
+        for target in targets:
+            if target == "nested":
+                proxy.add_target(inner)
+            elif target == "memory":
+                proxy.add_target(memory())
+            elif target == "remote":
+                proxy.add_target(f"127.0.0.1:{server.address[1]}")
+                homes.append(backing)
+            else:
+                proxy.add_target(target)
+        # values unique to this example, so the served store's earlier
+        # examples cannot hold them
+        tag = b"%d:" % next(_example_tags)
+        values = data.draw(st.lists(st.binary(max_size=8), min_size=1, max_size=6, unique=True))
+        keys = []
+        for value in values:
+            value = tag + value
+            key = MemoryStore(policy="content-hash").put(value)
+            for i in data.draw(st.lists(st.sampled_from(range(len(homes))), unique=True)
+                               if homes else st.just([])):
+                homes[i].put_with_key(value, key)
+            keys.append(key)
+        keys.append(Key(b"\x00" * 32))  # bound nowhere
+        batch = data.draw(st.lists(st.sampled_from(keys), max_size=10))
+        try:
+            for key in keys:
+                assert _outcome(proxy.get_with_trace, key) == \
+                    _outcome(_reference_get_with_trace, proxy, key)
+                assert _outcome(proxy.get, key) == _outcome(_reference_get, proxy, key)
+            assert _outcome(proxy.get_many, batch) == \
+                _outcome(_reference_get_many, proxy, batch)
+            assert _outcome(proxy.get_many, iter(batch)) == \
+                _outcome(_reference_get_many, proxy, batch)
+        finally:
+            proxy.close()
+            inner.close()
 
 
 class TestRootStoreBootstrap:

@@ -1,6 +1,6 @@
 """The XML subset: document model validation, parser, canonical serializer."""
 import pickle
-from dataclasses import make_dataclass
+from dataclasses import fields, make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from xbase.xmldoc import (
     xml_parse,
     xml_serialize,
 )
+from xbase.xmlfrag import SchemaNode
 
 
 class TestModelValidation:
@@ -269,15 +270,20 @@ def test_deep_trees_compare_hash_and_repr():
 
 
 # The same fields with the methods dataclass generates, for comparison.
-_Generated = make_dataclass(
-    "Element", [("name", str), ("attributes", tuple), ("children", tuple)], frozen=True
-)
+_GENERATED = {
+    Element: make_dataclass(
+        "Element", [("name", str), ("attributes", tuple), ("children", tuple)], frozen=True),
+    SchemaNode: make_dataclass(
+        "SchemaNode", [("element_name", str), ("collapse", bool), ("children", tuple)],
+        frozen=True),
+}
 
 
 def _generated(node):
     if isinstance(node, Text):
         return node
-    return _Generated(node.name, node.attributes, tuple(map(_generated, node.children)))
+    *head, children = (getattr(node, f.name) for f in fields(node))
+    return _GENERATED[type(node)](*head, tuple(map(_generated, children)))
 
 
 def _merge_adjacent_text(children):
@@ -313,12 +319,25 @@ def test_parse_serialize_fixpoint(element):
     assert xml_parse(xml_serialize(element)) == element
 
 
+@st.composite
+def _schema_nodes(draw, depth=0):
+    children = draw(st.lists(_schema_nodes(depth=depth + 1), max_size=3)) if depth < 3 else []
+    return SchemaNode(draw(st.sampled_from(["*", "a", "b"])), draw(st.booleans()),
+                      tuple(children))
+
+
 @settings(max_examples=150, deadline=None)
-@given(_elements(), _elements())
-def test_eq_hash_repr_match_the_generated_methods(first, second):
+@given(st.one_of(st.tuples(_elements(), _elements()),
+                 st.tuples(_schema_nodes(), _schema_nodes())))
+def test_eq_hash_repr_match_the_generated_methods(pair):
+    first, second = pair
     assert repr(first) == repr(_generated(first))
     assert hash(first) == hash(_generated(first))
-    copy = xml_parse(xml_serialize(first))
+    if isinstance(first, Element):
+        copy = xml_parse(xml_serialize(first))
+    else:
+        copy = pickle.loads(pickle.dumps(first))
+    assert copy is not first
     assert (copy == first) is True and hash(copy) == hash(first)
     assert (first == second) == (_generated(first) == _generated(second))
     assert (first != second) == (_generated(first) != _generated(second))

@@ -1,5 +1,6 @@
 """Fragmentation: schema parsing, splitting documents, reassembly."""
 import hashlib
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from xbase.xmlfrag import (
     SchemaError,
     SchemaMismatchError,
     SchemaNode,
+    WILDCARD,
     UnresolvedReferenceError,
     defragment,
     fragment,
@@ -644,6 +646,21 @@ class TestDeepInput:
         key = _without_recursion(fragment, doc, fully_expanded_schema(self.DEPTH), store)
         assert len(store) == self.DEPTH
         assert defragment(key, store) == doc
+
+    def test_deep_schema_nodes_compare_hash_and_repr(self):
+        one = fully_expanded_schema(self.DEPTH).root
+        two = fully_expanded_schema(self.DEPTH).root
+        other = SchemaNode(WILDCARD, collapse=True)
+        for _ in range(self.DEPTH - 1):
+            other = SchemaNode(WILDCARD, False, (other,))
+        assert _without_recursion(operator.eq, one, two) is True
+        assert _without_recursion(operator.ne, one, other) is True
+        assert _without_recursion(hash, one) == hash(two)
+        text = _without_recursion(repr, one)
+        assert text.startswith("SchemaNode(element_name='*', collapse=False, "
+                               "children=(SchemaNode(element_name='*'")
+        assert text.count("SchemaNode(") == self.DEPTH
+        assert len({one, two, other}) == 2
 
     def test_schema_from_deep_xml(self):
         schema = _without_recursion(
