@@ -19,6 +19,7 @@ identity, not a copy with a new identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (
     BitString,
@@ -216,30 +217,8 @@ class NamerCaster(Caster[MemoryNamer]):
         return namer
 
 
-_person_caster = PersonCaster()
-_store_caster = StoreCaster()
-_namer_caster = NamerCaster()
+_reify_reflect = attrgetter("reify", "reflect")
 
-
-def person_reify(person: PersonRecord) -> BitString:
-    return _person_caster.reify(person)
-
-
-def person_reflect(data: BitString) -> PersonRecord:
-    return _person_caster.reflect(data)
-
-
-def store_reify(store) -> BitString:
-    return _store_caster.reify(store)
-
-
-def store_reflect(data: BitString) -> MemoryStore:
-    return _store_caster.reflect(data)
-
-
-def namer_reify(namer) -> BitString:
-    return _namer_caster.reify(namer)
-
-
-def namer_reflect(data: BitString) -> MemoryNamer:
-    return _namer_caster.reflect(data)
+person_reify, person_reflect = _reify_reflect(PersonCaster())
+store_reify, store_reflect = _reify_reflect(StoreCaster())
+namer_reify, namer_reflect = _reify_reflect(NamerCaster())

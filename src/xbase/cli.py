@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,8 +38,8 @@ from .netstore import (
     UnreachableError,
     parse_address,
 )
-from .stores import AppendLogStore, SequenceKeys, get_root_store, open_store
-from .xmldoc import xml_parse, xml_serialize
+from .stores import AppendLogStore, get_root_store, open_store
+from .xmldoc import Element, xml_parse, xml_serialize
 from .xmlfrag import FragSchema, MODE_NAME, defragment, fragment
 
 PROXY_CONFIG_FILENAME = "proxy.xml"
@@ -153,11 +153,10 @@ def _is_address(text: str) -> bool:
 
 
 def _open_selected_store(args):
-    """The selected store, as a context manager that closes it on exit.
-    The root store is a bootstrap instance and stays open."""
+    """The selected store; the caller closes it, the root store included."""
     selection = args.store
     if selection == "root":
-        return nullcontext(get_root_store(args.home))
+        return get_root_store(args.home)
     if selection == "proxy":
         return _load_proxy(args.home)
     if _is_address(selection):
@@ -167,10 +166,9 @@ def _open_selected_store(args):
 
 
 def _open_selected_namer(args):
-    """The selected namer, as a context manager that closes it on exit.
-    The root namer is a bootstrap instance and stays open."""
+    """The selected namer; the caller closes it, the root namer included."""
     if args.namer == "root":
-        return nullcontext(get_root_namer(args.home))
+        return get_root_namer(args.home)
     return open_namer(args.namer)
 
 
@@ -178,41 +176,36 @@ def _proxy_config_path(home) -> Path:
     return xbase_home(home) / PROXY_CONFIG_FILENAME
 
 
-def _load_proxy_config(home) -> tuple[str | int, list[str]]:
+def _load_proxy(home) -> ProxyStore:
+    """The proxy configured under home, with no targets if there is no
+    config yet."""
+    proxy = ProxyStore()
     path = _proxy_config_path(home)
     if not path.exists():
-        return "local-first", []
+        return proxy
     root = xml_parse(path.read_bytes())
     if root.name != "proxy":
         raise ValueError(f"{path}: expected a <proxy> document")
-    policy_text = root.attr("put-policy", "local-first")
-    policy: str | int = policy_text
-    if policy_text != "local-first":
-        if not policy_text.isdigit():
-            raise ValueError(f"{path}: bad put-policy {policy_text!r}")
-        policy = int(policy_text)
-    addresses = []
+    policy = root.attr("put-policy", "local-first")
+    if policy != "local-first":
+        if not policy.isdigit():
+            raise ValueError(f"{path}: bad put-policy {policy!r}")
+        proxy.put_policy = int(policy)
     for child in root.child_elements():
         if child.name != "target" or child.attr("address") is None:
             raise ValueError(f"{path}: expected <target address=...> entries")
-        addresses.append(child.attr("address"))
-    return policy, addresses
-
-
-def _save_proxy_config(home, policy: str | int, addresses: list[str]) -> None:
-    from .xmldoc import Element
-
-    children = tuple(Element("target", (("address", a),)) for a in addresses)
-    doc = Element("proxy", (("put-policy", str(policy)),), children)
-    _proxy_config_path(home).write_bytes(xml_serialize(doc))
-
-
-def _load_proxy(home) -> ProxyStore:
-    policy, addresses = _load_proxy_config(home)
-    proxy = ProxyStore(put_policy=policy)
-    for address in addresses:
-        proxy.add_target(address)
+        proxy.add_target(child.attr("address"))
     return proxy
+
+
+def _target_addresses(proxy: ProxyStore) -> list[str]:
+    return ["%s:%d" % target.address for target in proxy.targets()]
+
+
+def _save_proxy_config(home, proxy: ProxyStore) -> None:
+    children = tuple(Element("target", (("address", a),)) for a in _target_addresses(proxy))
+    doc = Element("proxy", (("put-policy", str(proxy.put_policy)),), children)
+    _proxy_config_path(home).write_bytes(xml_serialize(doc))
 
 
 def _cmd_put(args) -> int:
@@ -294,21 +287,16 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_proxy(args) -> int:
-    policy, addresses = _load_proxy_config(args.home)
-    if args.proxy_command == "list":
-        for address in addresses:
-            print(address)
-        return 0
-    parse_address(args.address)  # validate before touching the config
-    if args.proxy_command == "add-target":
-        if args.address in addresses:
-            raise ValueError(f"target {args.address} already present")
-        addresses.append(args.address)
-    else:
-        if args.address not in addresses:
-            raise ValueError(f"target {args.address} is not registered")
-        addresses.remove(args.address)
-    _save_proxy_config(args.home, policy, addresses)
+    with _load_proxy(args.home) as proxy:
+        if args.proxy_command == "list":
+            for address in _target_addresses(proxy):
+                print(address)
+            return 0
+        if args.proxy_command == "add-target":
+            proxy.add_target(args.address)
+        else:
+            proxy.remove_target(args.address)
+        _save_proxy_config(args.home, proxy)
     return 0
 
 
@@ -368,9 +356,6 @@ def _cmd_import_store(args) -> int:
                              store_id=reflected.get_store_id()) as store:
         for key, value in reflected.bindings():
             store.put_with_key(value, key)
-        if isinstance(reflected.policy, SequenceKeys):
-            store.policy.next_seq = max(store.policy.next_seq,
-                                        reflected.policy.next_seq)
     return 0
 
 

@@ -333,6 +333,11 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+# how often a serve loop checks for stop(), so about how long stop() waits
+# for it (socketserver's default is 0.5 s)
+_POLL_SECONDS = 0.05
+
+
 class StoreServer:
     """Serves one store over TCP, one thread per connection."""
 
@@ -350,13 +355,13 @@ class StoreServer:
 
     def start(self) -> "StoreServer":
         self._looped = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         self._looped = True
-        self._server.serve_forever()
+        self._server.serve_forever(_POLL_SECONDS)
 
     def stop(self) -> None:
         # shutdown() waits for a serve loop to end: forever if none was

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import xbase.home
 from xbase.cli import main
 from xbase.namer import LogNamer
 from xbase.netstore import RemoteStore, serve
@@ -129,6 +130,19 @@ class TestPutGet:
         assert capsysbinary.readouterr().out == b"\x11"
 
 
+def test_root_store_and_namer_are_closed(tmp_home, capsys):
+    """The root store and root namer close on exit like any other, so their
+    logs get a hint, and the next command reopens them."""
+    assert main(["put", "--hex", "11"]) == 0
+    key_hex = capsys.readouterr().out.strip()
+    assert main(["bind", "n", key_hex]) == 0
+    assert (tmp_home / "root.store.hint").exists()
+    assert (tmp_home / "root.namer.hint").exists()
+    roots = xbase.home._roots
+    assert len(roots) == 2 and all(root.closed for root in roots.values())
+    assert main(["lookup", "n"]) == 0
+    assert capsys.readouterr().out == key_hex + "\n"
+
 class TestArgparseBehavior:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
@@ -208,6 +222,21 @@ class TestProxyCommands:
         main(["proxy", "add-target", "127.0.0.1:9001"])
         assert main(["proxy", "add-target", "127.0.0.1:9001"]) == 1
         assert main(["proxy", "remove-target", "127.0.0.1:9999"]) == 1
+
+    def test_same_address_spelled_differently_is_a_duplicate(self, tmp_home, capsys):
+        assert main(["proxy", "add-target", "127.0.0.1:9"]) == 0
+        assert main(["proxy", "add-target", "127.0.0.1:09"]) == 1
+        assert "127.0.0.1:9 already present" in capsys.readouterr().err
+        assert main(["store-id", "--store", "proxy"]) == 0
+        capsys.readouterr()
+        assert main(["proxy", "list"]) == 0
+        assert capsys.readouterr().out == "127.0.0.1:9\n"
+
+    def test_remove_matches_the_parsed_address(self, tmp_home, capsys):
+        main(["proxy", "add-target", "127.0.0.1:9"])
+        assert main(["proxy", "remove-target", "127.0.0.1:009"]) == 0
+        main(["proxy", "list"])
+        assert capsys.readouterr().out == ""
 
     def test_bad_address_rejected(self, tmp_home, capsys):
         assert main(["proxy", "add-target", "no-port-here"]) == 1

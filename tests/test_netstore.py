@@ -4,6 +4,7 @@ import os
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -461,6 +462,21 @@ class TestServerAndRemote:
         for thread in threads:
             thread.join(timeout=10)
         assert sorted(done) == ["start", "stop", "with"]
+
+    @pytest.mark.parametrize("loop", ["start", "serve_forever"])
+    def test_stop_is_prompt_after_a_request(self, loop):
+        """stop() does not wait out socketserver's default 0.5 s poll, with
+        the loop started by start() or run by serve_forever() in a thread."""
+        server = StoreServer(MemoryStore(), ("127.0.0.1", 0))
+        if loop == "start":
+            server.start()
+        else:
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        with RemoteStore(server.address, timeout=5) as remote:
+            remote.get_store_id()
+        began = time.monotonic()
+        server.stop()
+        assert time.monotonic() - began < 0.2
 
     def test_server_context_manager_and_explicit_loop(self):
         store = MemoryStore(policy="random")
