@@ -143,6 +143,7 @@ def test_root_store_and_namer_are_closed(tmp_home, capsys):
     assert main(["lookup", "n"]) == 0
     assert capsys.readouterr().out == key_hex + "\n"
 
+
 class TestArgparseBehavior:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
