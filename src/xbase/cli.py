@@ -13,8 +13,9 @@ the proxy configured under the home directory. Values come from --hex,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,10 +27,11 @@ from .core import (
     Name,
     XbaseError,
 )
-from .home import xbase_home
+from .home import ROOT_NAMER_FILENAME, ROOT_STORE_FILENAME, root_is_open, xbase_home
 from .namer import get_root_namer, open_namer
 from .netstore import (
     AllTargetsUnreachableError,
+    DuplicateTargetError,
     MalformedMessageError,
     ProxyStore,
     RemoteError,
@@ -43,6 +45,8 @@ from .xmldoc import Element, xml_parse, xml_serialize
 from .xmlfrag import FragSchema, MODE_NAME, defragment, fragment
 
 PROXY_CONFIG_FILENAME = "proxy.xml"
+
+logger = logging.getLogger(__name__)
 
 _IO_ERRORS = (
     CorruptionError,
@@ -62,75 +66,81 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    return _parser(None)
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of command only, or of every
+    command if None. Only the invoked command's subparser is ever used, so
+    the two parse alike; the usage line names every command either way."""
     parser = _ArgumentParser(prog="xbase", description=__doc__.splitlines()[0])
     parser.add_argument("--home", help="override the data directory (else XBASE_HOME)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else _CHOICES)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            _add_arguments(sub.add_parser(name, help=help_text), arguments)
+    return parser
 
-    def add(name: str, help_text: str, store: bool = False, namer: bool = False,
-            value: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        if store:
-            p.add_argument("--store", default="root",
-                           help="path | root | host:port | proxy (default root)")
-            p.add_argument("--layout", choices=["append-log", "file-per-key"],
-                           help="layout when creating a path store")
-            p.add_argument("--policy", choices=["random", "sequence", "content-hash"],
-                           help="key policy when creating a path store")
-        if namer:
-            p.add_argument("--namer", default="root", help="path | root (default root)")
-        if value:
-            p.add_argument("--hex", dest="value_hex", help="value as hex")
-            p.add_argument("--file", dest="value_file", help="read value from a file")
-        return p
 
-    add("put", "store a value, print its key", store=True, value=True)
-    p = add("get", "print a stored value", store=True)
-    p.add_argument("key", help="key as hex")
-    p.add_argument("--out", help="write the value to a file instead of stdout")
-    p = add("put-with-key", "store a value under a caller-chosen key",
-            store=True, value=True)
-    p.add_argument("key", help="key as hex")
-    add("store-id", "print the store's id", store=True)
+def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
+    """arguments: (flag, add_argument keywords) pairs, and callables that
+    add their own arguments to parser."""
+    for argument in arguments:
+        if callable(argument):
+            argument(parser)
+        else:
+            parser.add_argument(argument[0], **argument[1])
 
-    p = add("bind", "bind a name to a key", namer=True)
-    p.add_argument("name")
-    p.add_argument("key", help="key as hex")
-    p = add("unbind", "remove one name-to-key binding", namer=True)
-    p.add_argument("name")
-    p.add_argument("key", help="key as hex")
-    p = add("lookup", "print the keys bound to a name, one per line", namer=True)
-    p.add_argument("name")
-    p = add("lookup-as-of", "lookup against a historical log position", namer=True)
-    p.add_argument("name")
-    p.add_argument("seq", type=int)
 
-    p = add("serve", "serve a store over TCP until interrupted")
-    p.add_argument("path")
-    p.add_argument("address", help="host:port to bind")
+_STORE = (
+    ("--store", dict(default="root", help="path | root | host:port | proxy (default root)")),
+    ("--layout", dict(choices=["append-log", "file-per-key"],
+                      help="layout when creating a path store")),
+    ("--policy", dict(choices=["random", "sequence", "content-hash"],
+                      help="key policy when creating a path store")),
+)
+_NAMER = (("--namer", dict(default="root", help="path | root (default root)")),)
+_VALUE = (
+    ("--hex", dict(dest="value_hex", help="value as hex")),
+    ("--file", dict(dest="value_file", help="read value from a file")),
+)
+_KEY = ("key", dict(help="key as hex"))
+_NAME = ("name", {})
 
-    p = sub.add_parser("proxy", help="manage the proxy target list")
-    proxy_sub = p.add_subparsers(dest="proxy_command", required=True)
-    pp = proxy_sub.add_parser("add-target", help="register a target address")
-    pp.add_argument("address", help="host:port")
-    pp = proxy_sub.add_parser("remove-target", help="drop a target address")
-    pp.add_argument("address", help="host:port")
+
+def _proxy_commands(parser: argparse.ArgumentParser) -> None:
+    proxy_sub = parser.add_subparsers(dest="proxy_command", required=True)
+    address = (("address", dict(help="host:port")),)
+    _add_arguments(proxy_sub.add_parser("add-target", help="register a target address"), address)
+    _add_arguments(proxy_sub.add_parser("remove-target", help="drop a target address"), address)
     proxy_sub.add_parser("list", help="print target addresses, one per line")
 
-    p = add("frag", "fragment an XML document into a store", store=True, namer=True)
-    p.add_argument("doc", help="XML document file")
-    p.add_argument("--schema", required=True, help="fragmentation schema file")
-    p.add_argument("--mode", choices=["key", "name", "self"], default="key")
-    p.add_argument("--prefix", help="name prefix (name mode)")
-    p = add("defrag", "reassemble a fragmented document", store=True, namer=True)
-    p.add_argument("ref", help="root fragment key (hex) or bound name")
 
-    p = add("export-store", "print a store's XML image")
-    p.add_argument("path")
-    p = add("import-store", "rebuild a store from an XML image")
-    p.add_argument("image", help="XML image file")
-    p.add_argument("path", help="destination store path (must not exist)")
+class _NotFound(Exception):
+    """The top level of argv does not parse; the full parser reports why."""
 
-    return parser
+
+class _CommandFinder(argparse.ArgumentParser):
+    def error(self, message):
+        raise _NotFound
+
+
+def _invoked_command(argv: list[str]) -> str | None:
+    """The command argv invokes, found by argparse under the same top-level
+    options as the full parser: None for help, for no or an unknown
+    command, and for a top level that does not parse."""
+    finder = _CommandFinder(add_help=False)
+    finder.add_argument("-h", "--help", action="store_true")
+    finder.add_argument("--home")
+    finder.add_argument("command", nargs=argparse.PARSER)  # the command and all after it
+    try:
+        args, _ = finder.parse_known_args(argv)
+    except _NotFound:
+        return None
+    command = args.command[0]
+    return None if args.help or command not in _COMMANDS else command
 
 
 def _read_value(args) -> bytes:
@@ -152,11 +162,20 @@ def _is_address(text: str) -> bool:
         return False
 
 
+def _root(filename: str, get_root, home):
+    """get_root(home), for a with block that closes it only if this call
+    opened it: a root the process already held stays open."""
+    if root_is_open(filename, home):
+        return nullcontext(get_root(home))
+    return get_root(home)
+
+
 def _open_selected_store(args):
-    """The selected store; the caller closes it, the root store included."""
+    """The selected store, for a with block that closes it (the root store
+    only if this call opened it)."""
     selection = args.store
     if selection == "root":
-        return get_root_store(args.home)
+        return _root(ROOT_STORE_FILENAME, get_root_store, args.home)
     if selection == "proxy":
         return _load_proxy(args.home)
     if _is_address(selection):
@@ -166,9 +185,10 @@ def _open_selected_store(args):
 
 
 def _open_selected_namer(args):
-    """The selected namer; the caller closes it, the root namer included."""
+    """The selected namer, for a with block that closes it (the root namer
+    only if this call opened it)."""
     if args.namer == "root":
-        return get_root_namer(args.home)
+        return _root(ROOT_NAMER_FILENAME, get_root_namer, args.home)
     return open_namer(args.namer)
 
 
@@ -178,7 +198,8 @@ def _proxy_config_path(home) -> Path:
 
 def _load_proxy(home) -> ProxyStore:
     """The proxy configured under home, with no targets if there is no
-    config yet."""
+    config yet. A target listed twice, under any spelling of its address,
+    is added once; the next save writes it once."""
     proxy = ProxyStore()
     path = _proxy_config_path(home)
     if not path.exists():
@@ -192,9 +213,13 @@ def _load_proxy(home) -> ProxyStore:
             raise ValueError(f"{path}: bad put-policy {policy!r}")
         proxy.put_policy = int(policy)
     for child in root.child_elements():
-        if child.name != "target" or child.attr("address") is None:
+        address = child.attr("address")
+        if child.name != "target" or address is None:
             raise ValueError(f"{path}: expected <target address=...> entries")
-        proxy.add_target(child.attr("address"))
+        try:
+            proxy.add_target(address)
+        except DuplicateTargetError as exc:
+            logger.warning("%s: skipped target %s: %s", path, address, exc)
     return proxy
 
 
@@ -359,32 +384,49 @@ def _cmd_import_store(args) -> int:
     return 0
 
 
+# command -> (handler, help, arguments as _add_arguments takes them)
 _COMMANDS = {
-    "put": _cmd_put,
-    "get": _cmd_get,
-    "put-with-key": _cmd_put_with_key,
-    "store-id": _cmd_store_id,
-    "bind": _cmd_bind,
-    "unbind": _cmd_unbind,
-    "lookup": _cmd_lookup,
-    "lookup-as-of": _cmd_lookup,
-    "serve": _cmd_serve,
-    "proxy": _cmd_proxy,
-    "frag": _cmd_frag,
-    "defrag": _cmd_defrag,
-    "export-store": _cmd_export_store,
-    "import-store": _cmd_import_store,
+    "put": (_cmd_put, "store a value, print its key", _STORE + _VALUE),
+    "get": (_cmd_get, "print a stored value",
+            _STORE + (_KEY, ("--out", dict(help="write the value to a file instead of stdout")))),
+    "put-with-key": (_cmd_put_with_key, "store a value under a caller-chosen key",
+                     _STORE + _VALUE + (_KEY,)),
+    "store-id": (_cmd_store_id, "print the store's id", _STORE),
+    "bind": (_cmd_bind, "bind a name to a key", _NAMER + (_NAME, _KEY)),
+    "unbind": (_cmd_unbind, "remove one name-to-key binding", _NAMER + (_NAME, _KEY)),
+    "lookup": (_cmd_lookup, "print the keys bound to a name, one per line",
+               _NAMER + (_NAME,)),
+    "lookup-as-of": (_cmd_lookup, "lookup against a historical log position",
+                     _NAMER + (_NAME, ("seq", dict(type=int)))),
+    "serve": (_cmd_serve, "serve a store over TCP until interrupted", (
+        ("path", {}), ("address", dict(help="host:port to bind")))),
+    "proxy": (_cmd_proxy, "manage the proxy target list", (_proxy_commands,)),
+    "frag": (_cmd_frag, "fragment an XML document into a store", _STORE + _NAMER + (
+        ("doc", dict(help="XML document file")),
+        ("--schema", dict(required=True, help="fragmentation schema file")),
+        ("--mode", dict(choices=["key", "name", "self"], default="key")),
+        ("--prefix", dict(help="name prefix (name mode)")),
+    )),
+    "defrag": (_cmd_defrag, "reassemble a fragmented document", _STORE + _NAMER + (
+        ("ref", dict(help="root fragment key (hex) or bound name")),)),
+    "export-store": (_cmd_export_store, "print a store's XML image", (("path", {}),)),
+    "import-store": (_cmd_import_store, "rebuild a store from an XML image", (
+        ("image", dict(help="XML image file")),
+        ("path", dict(help="destination store path (must not exist)")),
+    )),
 }
+# the subcommand list as argparse writes it in the full parser's usage line
+_CHOICES = "{%s}" % ",".join(_COMMANDS)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser(_invoked_command(argv)).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _IO_ERRORS as exc:
         print(f"xbase: {exc}", file=sys.stderr)
         return 2

@@ -56,3 +56,11 @@ def open_root(filename: str, opener: Callable[[Path], T],
         if root is None or root.closed:
             root = _roots[path] = opener(path)
         return root
+
+
+def root_is_open(filename: str, home: str | os.PathLike | None = None) -> bool:
+    """Whether this process holds the bootstrap instance at <home>/filename open."""
+    path = xbase_home(home) / filename
+    with _roots_lock:
+        root = _roots.get(path)
+        return root is not None and not root.closed

@@ -18,9 +18,12 @@ action is 0x01 BIND or 0x02 UNBIND; crc32 covers all preceding record
 bytes with the same parameters as the store log. Framing, torn-tail
 recovery, locking and the <log>.hint sidecar (max seq, the live bindings
 and every name's history) are shared with the store log: see framedlog.py.
+The sidecar keeps each name's history packed, as (record count, marshal
+bytes of the history), so an open decodes only the histories it uses.
 """
 from __future__ import annotations
 
+import marshal
 import os
 import struct
 import threading
@@ -146,6 +149,12 @@ class LogNamer(FramedLog, MemoryNamer):
     Current state is the fold of all committed records. Each name also keeps
     its history, [(seq, action, key bytes)] in seq order, which answers
     lookup_as_of by bisection and from which records() rebuilds the log.
+    An open through the hint installs the live bindings at once, but keeps
+    each history packed as the hint stored it, (record count, marshal
+    bytes), until lookup_as_of, bind, unbind, records() or the tail replay
+    first needs it; a packed history that does not decode to its count
+    raises CorruptionError then. Close packs again only the histories it
+    decoded.
     """
 
     _format = NAMER_LOG
@@ -158,7 +167,8 @@ class LogNamer(FramedLog, MemoryNamer):
         self = object.__new__(cls)
         MemoryNamer.__init__(self, namer_id)
         self._max_seq = 0
-        self._history: dict[str, list[tuple[int, int, bytes]]] = {}
+        # name text -> its history, or (count, marshal bytes) until first use
+        self._history: dict[str, list[tuple[int, int, bytes]] | tuple[int, bytes]] = {}
         self._open_log(Path(path), self._id, b"", self._replay)
         return self
 
@@ -187,21 +197,47 @@ class LogNamer(FramedLog, MemoryNamer):
             if action == ACTION_UNBIND and key not in bindings.get(name, ()):
                 raise CorruptionError(f"{path}: UNBIND of unbound pair at seq {seq}")
             change(action, name, key)
-            history.setdefault(name.text, []).append((seq, action, key.raw))
+            entry = history.get(name.text)
+            if type(entry) is not list:  # new, or still packed as the hint left it
+                entry = history[name.text] = self._history_of(name.text)
+            entry.append((seq, action, key.raw))
             last = seq
         self._max_seq = last
 
     def _hint_state(self) -> tuple:
         live = {name.text: [key.raw for key in keys] for name, keys in self._bindings.items()}
-        return self._max_seq, live, self._history
+        packed = {text: (len(history), marshal.dumps(history)) if type(history) is list
+                  else history for text, history in self._history.items()}
+        return self._max_seq, live, packed
 
     def _restore_hint(self, state) -> None:
         max_seq, live, history = state
         if not (type(max_seq) is int and type(live) is dict and type(history) is dict
-                and sum(map(len, history.values())) == max_seq):
+                and all(type(packed) is tuple and len(packed) == 2 and type(packed[0]) is int
+                        and type(packed[1]) is bytes for packed in history.values())
+                and sum(count for count, _ in history.values()) == max_seq):
             raise ValueError("unexpected namer hint shape")
         bindings = {Name(text): {Key(raw) for raw in raws} for text, raws in live.items()}
         self._max_seq, self._bindings, self._history = max_seq, bindings, history
+
+    def _history_of(self, text: str) -> list:
+        """The history of the name text, decoded and installed on first use
+        if the hint left it packed; a new list if the name has none."""
+        history = self._history.get(text)
+        if history is None:
+            return []
+        if type(history) is tuple:
+            count, blob = history
+            try:
+                history = marshal.loads(blob)
+            except (EOFError, TypeError, ValueError):
+                history = None
+            if type(history) is not list or len(history) != count:
+                raise CorruptionError(
+                    f"{self._hint_path()}: the history of {text!r} does not decode to"
+                    f" {count} records; delete the hint to replay the log")
+            self._history[text] = history
+        return history
 
     @property
     def max_seq(self) -> int:
@@ -217,7 +253,7 @@ class LogNamer(FramedLog, MemoryNamer):
             self._check_open()
             if not 0 <= seq <= self._max_seq:
                 raise SeqOutOfRangeError(f"seq {seq} outside 0..{self._max_seq}")
-            history = self._history.get(name.text, [])
+            history = self._history_of(name.text)
             keys: set[bytes] = set()
             for _, action, raw in history[: bisect_right(history, seq, key=itemgetter(0))]:
                 if action == ACTION_BIND:
@@ -230,17 +266,19 @@ class LogNamer(FramedLog, MemoryNamer):
         """Snapshot of the committed record list, in seq order."""
         with self._lock:
             out: list = [None] * self._max_seq
-            for text, history in self._history.items():
+            for text in list(self._history):
                 name = Name(text)
-                for seq, action, raw in history:
+                for seq, action, raw in self._history_of(text):
                     out[seq - 1] = BindingRecord(seq, action, name, Key(raw))
         return out
 
     def _change(self, action: int, name: Name, key: Key) -> None:
+        history = self._history_of(name.text)  # before the append: it may raise
         seq = self._max_seq + 1
         self._append_bytes(NAMER_LOG.record((seq, action), name.text.encode("utf-8"), key.raw))
         self._max_seq = seq
-        self._history.setdefault(name.text, []).append((seq, action, key.raw))
+        self._history[name.text] = history
+        history.append((seq, action, key.raw))
         super()._change(action, name, key)
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, stdout discipline, command behavior."""
 import io
+import logging
+import re
 import signal
 import socket
 import subprocess
@@ -10,10 +12,12 @@ from contextlib import contextmanager
 import pytest
 
 import xbase.home
+from xbase import cli
 from xbase.cli import main
-from xbase.namer import LogNamer
+from xbase.core import Key, Name
+from xbase.namer import LogNamer, get_root_namer
 from xbase.netstore import RemoteStore, serve
-from xbase.stores import MemoryStore, open_store
+from xbase.stores import MemoryStore, get_root_store, open_store
 from xbase.xmldoc import xml_parse
 
 
@@ -144,6 +148,19 @@ def test_root_store_and_namer_are_closed(tmp_home, capsys):
     assert capsys.readouterr().out == key_hex + "\n"
 
 
+def test_a_root_the_process_holds_stays_open(tmp_home, capsys):
+    """A command closes only the roots it opened itself."""
+    store, namer = get_root_store(tmp_home), get_root_namer(tmp_home)
+    assert main(["--home", str(tmp_home), "put", "--hex", "01"]) == 0
+    key = Key.from_hex(capsys.readouterr().out.strip())
+    assert main(["--home", str(tmp_home), "bind", "n", key.hex]) == 0
+    assert store.get(key) == b"\x01" and store.put(b"x")
+    assert namer.lookup(Name("n")) == {key}
+    namer.bind(Name("m"), key)
+    assert not store.closed and not namer.closed
+    assert get_root_store(tmp_home) is store and get_root_namer(tmp_home) is namer
+
+
 class TestArgparseBehavior:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
@@ -157,6 +174,66 @@ class TestArgparseBehavior:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+# argv lists whose parse must not depend on which parser parses them:
+# help, errors and the top-level options, before and after the command
+_ARGVS = [
+    [], ["--help"], ["-h"], ["--he"], ["--h", "put"], ["--help", "put"],
+    ["--home", "h", "-h", "get"], ["--home"], ["--home", "h"],
+    ["frobnicate"], ["--wat", "put"], ["--", "put"], ["put"], ["put", "--wat"],
+    ["put", "--help"], ["put", "--home", "h"], ["put", "--he"], ["put", "x"],
+    ["--home", "put", "get", "ab"], ["--hom", "put", "put"], ["--home=get", "get"],
+    ["--home=h", "get", "ab", "--out", "o"], ["get"], ["get", "ab", "cd"],
+    ["lookup-as-of", "n", "x"], ["lookup-as-of", "n", "-1"], ["proxy"],
+    ["proxy", "list"], ["proxy", "frob"], ["proxy", "add-target"],
+    ["frag", "doc"], ["frag", "--mode", "bad", "--schema", "s", "doc"],
+    ["put", "--policy", "seq"], ["put", "--store", "s", "--hex", "01", "--policy", "sequence"],
+]
+
+
+class TestParser:
+    """main builds only the invoked command's subparser."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: xbase {command} ")
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        listed = re.findall(r"^    (\S+)\s", out, re.M)
+        assert listed == list(cli._COMMANDS) and len(listed) == 14
+
+    def test_unknown_command(self, capsys):
+        assert main(["frobnicate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: xbase ")
+        assert "argument command: invalid choice: 'frobnicate'" in err
+
+    @pytest.mark.parametrize("home", ["h", "put"])
+    @pytest.mark.parametrize("form", [["--home={}"], ["--home", "{}"], ["--hom", "{}"]],
+                             ids=["equals", "separate", "abbreviated"])
+    def test_home_before_the_command(self, form, home, tmp_home, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(home) for arg in form] + ["put", "--hex", "01"]
+        assert main(argv) == 0
+        assert (tmp_path / home / "root.store").is_file()
+        assert not tmp_home.exists()
+
+    def test_same_parse_as_the_full_parser(self, capsys):
+        """Namespace or exit status, stdout and stderr."""
+        def parse(parser, argv):
+            try:
+                result = sorted(vars(parser.parse_args(argv)).items())
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        for argv in _ARGVS:
+            full = parse(cli.build_parser(), argv)
+            assert parse(cli._parser(cli._invoked_command(argv)), argv) == full, argv
 
 
 class TestNamerCommands:
@@ -238,6 +315,24 @@ class TestProxyCommands:
         assert main(["proxy", "remove-target", "127.0.0.1:009"]) == 0
         main(["proxy", "list"])
         assert capsys.readouterr().out == ""
+
+    def test_config_listing_a_target_twice_loads_it_once(self, tmp_home, capsys, caplog):
+        tmp_home.mkdir()
+        config = tmp_home / "proxy.xml"
+        config.write_bytes(b'<proxy put-policy="local-first">'
+                           b'<target address="127.0.0.1:9"/><target address="127.0.0.1:09"/>'
+                           b'</proxy>')
+        caplog.set_level(logging.WARNING, logger="xbase.cli")
+        assert main(["proxy", "list"]) == 0
+        assert capsys.readouterr().out == "127.0.0.1:9\n"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{config}: skipped target 127.0.0.1:09: target 127.0.0.1:9 already present"]
+        assert main(["proxy", "add-target", "127.0.0.1:10"]) == 0
+        targets = xml_parse(config.read_bytes()).child_elements()
+        assert [t.attr("address") for t in targets] == ["127.0.0.1:9", "127.0.0.1:10"]
+        assert main(["proxy", "remove-target", "127.0.0.1:9"]) == 0
+        main(["proxy", "list"])
+        assert capsys.readouterr().out == "127.0.0.1:10\n"
 
     def test_bad_address_rejected(self, tmp_home, capsys):
         assert main(["proxy", "add-target", "no-port-here"]) == 1

@@ -1,11 +1,15 @@
 """Name binding semantics, the persistent binding log, and history replay."""
 import errno
+import logging
+import marshal
 import os
 import random
 import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HalfWriteFile, crc32_reference
 from xbase.core import (
@@ -333,3 +337,215 @@ def test_failed_cut_refuses_later_binds(tmp_path, monkeypatch):
     assert reopened.lookup(N) == {K1}
     assert reopened.max_seq == 1
     reopened.close()
+
+
+# ---- the hint keeps each name's history packed until first use
+
+LAZY_NAMES = [Name("a"), Name("b"), Name("ç"), Name("d")]
+LAZY_KEYS = [Key(bytes([i]) * i) for i in range(1, 5)]
+
+
+def _hint_path(path):
+    return path.with_name(path.name + ".hint")
+
+
+class _HistoryModel:
+    """The namer as a plain list of (action, name, key) records."""
+
+    def __init__(self):
+        self.log = []
+
+    @property
+    def max_seq(self):
+        return len(self.log)
+
+    def lookup_as_of(self, name, seq):
+        if not 0 <= seq <= self.max_seq:
+            raise SeqOutOfRangeError(seq)
+        keys = set()
+        for action, n, key in self.log[:seq]:
+            if n == name:
+                (keys.add if action == ACTION_BIND else keys.discard)(key)
+        return keys
+
+    def lookup(self, name):
+        return self.lookup_as_of(name, self.max_seq)
+
+    def bind(self, name, key):
+        if key not in self.lookup(name):
+            self.log.append((ACTION_BIND, name, key))
+
+    def unbind(self, name, key):
+        if key not in self.lookup(name):
+            raise NotBoundError(name)
+        self.log.append((ACTION_UNBIND, name, key))
+
+    def records(self):
+        return [(seq, action, name, key) for seq, (action, name, key) in enumerate(self.log, 1)]
+
+
+def _as_tuples(records):
+    return [(r.seq, r.action, r.name, r.key) for r in records]
+
+
+_lazy_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["bind", "unbind"]), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("lookup"), st.integers(0, 3)),
+    st.tuples(st.just("lookup_as_of"), st.integers(0, 3), st.integers(0, 1000)),
+    st.just(("records",)),
+    st.just(("reopen",)),
+), max_size=50)
+
+
+class TestLazyHistory:
+    @settings(max_examples=150, deadline=None)
+    @given(setup=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12),
+           ops=_lazy_ops)
+    def test_hinted_unhinted_and_model_agree(self, tmp_path_factory, setup, ops):
+        """A namer that trusts its hint, one whose hint is deleted before
+        every reopen, and a model see the same operations, with close and
+        reopen at random points; right after a reopen every history of the
+        hinted namer is still packed, so each first use decodes one."""
+        work = tmp_path_factory.mktemp("lazy")
+        paths = [work / "hinted.namer", work / "replayed.namer"]
+        model = _HistoryModel()
+        namers = [LogNamer.open(path) for path in paths]
+
+        def reopen():
+            for namer in namers:
+                namer.close()
+            _hint_path(paths[1]).unlink(missing_ok=True)
+            namers[:] = [LogNamer.open(path) for path in paths]
+            hinted, replayed = namers
+            assert replayed._hint_end == 0
+            if model.max_seq:
+                assert hinted._hint_end != 0
+                assert all(type(h) is tuple for h in hinted._history.values())
+
+        def apply(method, *args):
+            outcomes = []
+            for subject in (model, *namers):
+                try:
+                    result = getattr(subject, method)(*args)
+                except (NotBoundError, SeqOutOfRangeError) as exc:
+                    result = type(exc)
+                outcomes.append(_as_tuples(result) if method == "records"
+                                and type(result) is list and subject is not model
+                                else result)
+            assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], (method, args)
+
+        try:
+            for name, key in setup:
+                apply("bind", LAZY_NAMES[name], LAZY_KEYS[key])
+            reopen()
+            for op, *args in ops:
+                if op == "reopen":
+                    reopen()
+                elif op == "records":
+                    apply("records")
+                elif op == "lookup":
+                    apply("lookup", LAZY_NAMES[args[0]])
+                elif op == "lookup_as_of":
+                    apply("lookup_as_of", LAZY_NAMES[args[0]], args[1] % (model.max_seq + 2))
+                else:
+                    apply(op, LAZY_NAMES[args[0]], LAZY_KEYS[args[1]])
+            reopen()
+            apply("records")
+            assert namers[0].bindings() == namers[1].bindings()
+        finally:
+            for namer in namers:
+                namer.close()
+
+    @staticmethod
+    def _build(path):
+        """A closed namer log over three names, and its full-replay state."""
+        with LogNamer.open(path) as namer:
+            for i in range(12):
+                name = LAZY_NAMES[i % 3]
+                namer.bind(name, LAZY_KEYS[i % 4])
+                if i % 5 == 4:
+                    namer.unbind(name, LAZY_KEYS[i % 4])
+        return TestLazyHistory._state(path)
+
+    @staticmethod
+    def _state(path):
+        with LogNamer.open(path) as namer:
+            history = [[namer.lookup_as_of(n, s) for s in range(namer.max_seq + 1)]
+                       for n in LAZY_NAMES]
+            return _as_tuples(namer.records()), namer.bindings(), history
+
+    @staticmethod
+    def _rewrite_history(path, rewrite):
+        """Replace the hint's per-name history map by rewrite(map), keeping
+        its sidecar CRC valid."""
+        hint = _hint_path(path)
+        log_id, end, crc, (max_seq, live, history) = marshal.loads(hint.read_bytes()[1:-4])
+        body = b"\x01" + marshal.dumps((log_id, end, crc, (max_seq, live, rewrite(history))))
+        hint.write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
+
+    def test_hint_with_unpacked_histories_is_replayed_and_rewritten(self, tmp_path, caplog):
+        """A hint that holds each history as a list, the shape written before
+        histories were packed, is not trusted: the open replays the whole log
+        and the close writes the packed shape, which the next open trusts."""
+        path = tmp_path / "n.namer"
+        expected = self._build(path)
+        self._rewrite_history(path, lambda history: {
+            text: marshal.loads(blob) for text, (_, blob) in history.items()})
+        caplog.set_level(logging.INFO, logger="xbase.framedlog")
+        with LogNamer.open(path) as namer:
+            assert namer._hint_end == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: hint not used (format); replaying the whole log"]
+        _, _, _, (_, _, history) = marshal.loads(_hint_path(path).read_bytes()[1:-4])
+        assert all(type(packed) is tuple for packed in history.values())
+        caplog.clear()
+        assert self._state(path) == expected
+        assert caplog.records == []
+
+    def test_counts_that_do_not_sum_to_max_seq_are_not_trusted(self, tmp_path, caplog):
+        path = tmp_path / "n.namer"
+        expected = self._build(path)
+        self._rewrite_history(path, lambda history: dict(list(history.items())[1:]))
+        caplog.set_level(logging.INFO, logger="xbase.framedlog")
+        assert self._state(path) == expected
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: hint not used (format); replaying the whole log"]
+
+    @pytest.mark.parametrize("damage", ["count", "not marshal", "not a list"])
+    def test_history_that_does_not_match_its_count_is_corruption(self, tmp_path, damage):
+        """The counts still sum to max_seq, so the open trusts the hint; each
+        use of a damaged history raises CorruptionError and appends nothing,
+        while the other names and the live bindings still answer."""
+        path = tmp_path / "n.namer"
+        records, bindings, history = self._build(path)
+        a, b = LAZY_NAMES[0].text, LAZY_NAMES[1].text
+
+        def rewrite(packed):
+            (count_a, blob_a), (count_b, blob_b) = packed[a], packed[b]
+            if damage == "count":
+                packed[a], packed[b] = (count_a - 1, blob_a), (count_b + 1, blob_b)
+            elif damage == "not marshal":
+                packed[a] = (count_a, b"\xffnot marshal data")
+            else:
+                packed[a] = (count_a, marshal.dumps(tuple(marshal.loads(blob_a))))
+            return packed
+
+        self._rewrite_history(path, rewrite)
+        size = path.stat().st_size
+        with LogNamer.open(path) as namer:
+            assert namer._hint_end != 0
+            assert namer.lookup(LAZY_NAMES[0]) == {k for n, k in bindings if n == LAZY_NAMES[0]}
+            assert namer.lookup_as_of(LAZY_NAMES[2], 5) == history[2][5]
+            bound = next(iter(namer.lookup(LAZY_NAMES[0])))
+            for use in (lambda: namer.lookup_as_of(LAZY_NAMES[0], 3),
+                        lambda: namer.bind(LAZY_NAMES[0], Key(b"\x09")),
+                        lambda: namer.unbind(LAZY_NAMES[0], bound),
+                        namer.records):
+                with pytest.raises(CorruptionError, match="does not decode"):
+                    use()
+            if damage == "count":
+                with pytest.raises(CorruptionError):
+                    namer.lookup_as_of(LAZY_NAMES[1], 3)
+        assert path.stat().st_size == size
+        _hint_path(path).unlink()
+        assert self._state(path) == (records, bindings, history)
