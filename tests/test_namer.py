@@ -23,6 +23,7 @@ from xbase.core import (
 from xbase.namer import (
     ACTION_BIND,
     ACTION_UNBIND,
+    BindingRecord,
     LogNamer,
     MemoryNamer,
     NAMER_HEADER_LEN,
@@ -381,11 +382,7 @@ class _HistoryModel:
         self.log.append((ACTION_UNBIND, name, key))
 
     def records(self):
-        return [(seq, action, name, key) for seq, (action, name, key) in enumerate(self.log, 1)]
-
-
-def _as_tuples(records):
-    return [(r.seq, r.action, r.name, r.key) for r in records]
+        return [BindingRecord(seq, *record) for seq, record in enumerate(self.log, 1)]
 
 
 _lazy_ops = st.lists(st.one_of(
@@ -429,9 +426,7 @@ class TestLazyHistory:
                     result = getattr(subject, method)(*args)
                 except (NotBoundError, SeqOutOfRangeError) as exc:
                     result = type(exc)
-                outcomes.append(_as_tuples(result) if method == "records"
-                                and type(result) is list and subject is not model
-                                else result)
+                outcomes.append(result)
             assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], (method, args)
 
         try:
@@ -472,7 +467,7 @@ class TestLazyHistory:
         with LogNamer.open(path) as namer:
             history = [[namer.lookup_as_of(n, s) for s in range(namer.max_seq + 1)]
                        for n in LAZY_NAMES]
-            return _as_tuples(namer.records()), namer.bindings(), history
+            return namer.records(), namer.bindings(), history
 
     @staticmethod
     def _rewrite_history(path, rewrite):
