@@ -146,8 +146,12 @@ class StoreCaster(Caster[MemoryStore]):
         if isinstance(policy, SequenceKeys):
             if seq_next is None:
                 raise InvalidRepresentationError("sequence store image lacks seq-next")
-            if not (seq_next.isascii() and seq_next.isdigit()) or int(seq_next) < 1:
-                raise InvalidRepresentationError(f"bad seq-next {seq_next!r}")
+            try:
+                if not (seq_next.isascii() and seq_next.isdigit()):
+                    raise ValueError
+                policy = SequenceKeys(int(seq_next))
+            except ValueError:
+                raise InvalidRepresentationError(f"bad seq-next {seq_next!r}") from None
         elif seq_next is not None:
             raise InvalidRepresentationError(
                 f"seq-next is only valid for sequence stores, not {kind!r}"
@@ -178,8 +182,6 @@ class StoreCaster(Caster[MemoryStore]):
                 store.put_with_key(value, Key(key_bytes))
             except XbaseError as exc:
                 raise InvalidRepresentationError(str(exc)) from None
-        if isinstance(policy, SequenceKeys):
-            policy.next_seq = int(seq_next)
         return store
 
 

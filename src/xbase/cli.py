@@ -40,7 +40,7 @@ from .netstore import (
     UnreachableError,
     parse_address,
 )
-from .stores import AppendLogStore, get_root_store, open_store
+from .stores import LAYOUTS, POLICIES, AppendLogStore, get_root_store, open_store
 from .xmldoc import Element, xml_parse, xml_serialize
 from .xmlfrag import FragSchema, MODE_NAME, defragment, fragment
 
@@ -96,10 +96,8 @@ def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
 
 _STORE = (
     ("--store", dict(default="root", help="path | root | host:port | proxy (default root)")),
-    ("--layout", dict(choices=["append-log", "file-per-key"],
-                      help="layout when creating a path store")),
-    ("--policy", dict(choices=["random", "sequence", "content-hash"],
-                      help="key policy when creating a path store")),
+    ("--layout", dict(choices=LAYOUTS, help="layout when creating a path store")),
+    ("--policy", dict(choices=POLICIES, help="key policy when creating a path store")),
 )
 _NAMER = (("--namer", dict(default="root", help="path | root (default root)")),)
 _VALUE = (

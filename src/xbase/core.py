@@ -71,6 +71,10 @@ class MalformedInputError(XbaseError):
     """An interpreter's inverse direction was fed bytes outside its format."""
 
 
+class StoreClosedError(XbaseError, ValueError):
+    """An operation reached a store that has been closed."""
+
+
 class InvalidRepresentationError(XbaseError):
     """reflect was fed a bit-string that does not represent the entity type."""
 

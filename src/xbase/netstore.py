@@ -52,6 +52,7 @@ from .core import (
     KeyConflictError,
     KeyMismatchError,
     Store,
+    StoreClosedError,
     StoreID,
     UnknownKeyError,
     XbaseError,
@@ -264,8 +265,8 @@ def decode_message(data: bytes) -> tuple[WireMessage, int]:
     return read_message(stream.read), stream.tell()
 
 
-# (ERR code, exception), matched in this order by the server; the client
-# raises the exception. A ValueError is malformed too; the rest internal.
+# (ERR code, exception), matched in this order by the server; the client raises
+# the exception. Any other ValueError but a closed store's is malformed; the rest internal.
 _ERRORS = (
     (ERR_UNKNOWN_KEY, UnknownKeyError),
     (ERR_KEY_CONFLICT, KeyConflictError),
@@ -275,8 +276,9 @@ _ERRORS = (
 
 
 def _error_response(exc: Exception) -> ErrResponse:
+    malformed = isinstance(exc, ValueError) and not isinstance(exc, StoreClosedError)
     code = next((code for code, cls in _ERRORS if isinstance(exc, cls)),
-                ERR_MALFORMED if isinstance(exc, ValueError) else ERR_INTERNAL)
+                ERR_MALFORMED if malformed else ERR_INTERNAL)
     return ErrResponse(code, str(exc) or type(exc).__name__)
 
 

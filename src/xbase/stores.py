@@ -10,7 +10,9 @@ Three layouts share one put/get engine:
 
 Key policies: random (CSPRNG bytes), sequence (8-byte big-endian counter),
 content-hash (SHA-256 of the value, which deduplicates and lets independent
-stores issue identical keys for identical values).
+stores issue identical keys for identical values). Each policy carries its
+own rules, which the engine calls without knowing the policy. POLICIES and
+LAYOUTS name every policy and layout.
 
 Append-log record format, after a 22-byte header (magic "XLG1", format
 version 0x01, 16-byte store id, 1-byte policy tag):
@@ -28,7 +30,7 @@ import secrets
 import struct
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .core import (
     MAX_KEY_LEN,
@@ -41,6 +43,7 @@ from .core import (
     KeyMismatchError,
     PolicyMismatchError,
     Store,
+    StoreClosedError,
     StoreID,
     UnknownKeyError,
     check_key,
@@ -73,10 +76,22 @@ _U64_MAX = 2**64 - 1
 
 
 class KeyPolicy:
-    """How a store mints keys on put. Subclasses set tag and kind."""
+    """How a store mints, checks and resumes keys, under its lock. Subclasses
+    set tag and kind and implement mint; check and resume default to no-ops."""
 
     tag: int
     kind: str
+
+    def mint(self, value: bytes, bound: Callable[[bytes], bytes | None]) -> bytes:
+        """The key for a put of value; bound(key) is the value key is bound
+        to in the store, None if unbound. A bound key is not written again."""
+        raise NotImplementedError
+
+    def check(self, key: Key, value: bytes) -> None:
+        """Raise KeyMismatchError if a put_with_key of value may not use key."""
+
+    def resume(self, top: bytes) -> None:
+        """Continue past top, the highest 8-byte key of an opened store (b"" if none)."""
 
 
 class RandomKeys(KeyPolicy):
@@ -94,20 +109,40 @@ class RandomKeys(KeyPolicy):
             raise ValueError(f"key_len must be in 1..{MAX_KEY_LEN}")
         self.key_len = key_len
 
+    def mint(self, value, bound):
+        for _ in range(MAX_RANDOM_RETRIES):
+            key_bytes = secrets.token_bytes(self.key_len)
+            if bound(key_bytes) in (None, value):
+                return key_bytes  # unused, or collided with an identical binding
+        raise KeyGenerationError(f"no unused random key after {MAX_RANDOM_RETRIES} attempts")
+
 
 class SequenceKeys(KeyPolicy):
     """Keys are the 8-byte big-endian encoding of a counter starting at 1.
 
-    The counter strictly increases per put; keys issued never repeat.
+    The counter strictly increases per put, skipping keys bound by
+    put_with_key; keys issued never repeat. next_seq 2**64 is exhausted.
     """
 
     tag = POLICY_TAG_SEQUENCE
     kind = "sequence"
 
     def __init__(self, next_seq: int = 1):
-        if not 1 <= next_seq <= _U64_MAX:
+        if not 1 <= next_seq <= _U64_MAX + 1:
             raise ValueError("next_seq must be an unsigned 64-bit value >= 1")
         self.next_seq = next_seq
+
+    def mint(self, value, bound):
+        while self.next_seq <= _U64_MAX:
+            key_bytes = struct.pack(">Q", self.next_seq)
+            self.next_seq += 1
+            if bound(key_bytes) is None:
+                return key_bytes
+        raise KeyGenerationError("sequence key space exhausted")
+
+    def resume(self, top):
+        # big-endian keys of one length sort as their numbers do; b"" reads as 0
+        self.next_seq = max(self.next_seq, int.from_bytes(top, "big") + 1)
 
 
 class ContentHashKeys(KeyPolicy):
@@ -125,28 +160,30 @@ class ContentHashKeys(KeyPolicy):
     def digest(value: bytes) -> bytes:
         return hashlib.sha256(value).digest()
 
+    def mint(self, value, bound):
+        return self.digest(value)
 
-_POLICY_TYPES: dict[int, type[KeyPolicy]] = {
-    POLICY_TAG_RANDOM: RandomKeys,
-    POLICY_TAG_SEQUENCE: SequenceKeys,
-    POLICY_TAG_CONTENT_HASH: ContentHashKeys,
-}
-
-_POLICY_KINDS = {cls.kind: cls for cls in _POLICY_TYPES.values()}
+    def check(self, key, value):
+        expected = self.digest(value)
+        if key.raw != expected:
+            raise KeyMismatchError(f"key {key.hex} is not the content digest {expected.hex()}")
 
 
-def make_policy(policy: KeyPolicy | str | None, default: str = "random") -> KeyPolicy:
-    """Coerce a policy argument: an instance, a kind string, or None (default)."""
+# kind -> policy class, and header tag -> policy class
+POLICIES = {cls.kind: cls for cls in (RandomKeys, SequenceKeys, ContentHashKeys)}
+_POLICY_TAGS = {cls.tag: cls for cls in POLICIES.values()}
+
+
+def make_policy(policy: KeyPolicy | str | None) -> KeyPolicy:
+    """Coerce a policy argument: an instance, a kind string, or None (random)."""
     if policy is None:
-        policy = default
+        return RandomKeys()
     if isinstance(policy, KeyPolicy):
         return policy
     if isinstance(policy, str):
-        cls = _POLICY_KINDS.get(policy)
+        cls = POLICIES.get(policy)
         if cls is None:
-            raise ValueError(
-                f"unknown key policy {policy!r}; expected one of {sorted(_POLICY_KINDS)}"
-            )
+            raise ValueError(f"unknown key policy {policy!r}; expected one of {sorted(POLICIES)}")
         return cls()
     raise TypeError(f"policy must be KeyPolicy or str, got {type(policy).__name__}")
 
@@ -177,7 +214,7 @@ class LocalStore(Store):
         check_value(value)
         with self._lock:
             self._check_open()
-            key_bytes = self._generate_key(value)
+            key_bytes = self._policy.mint(value, self._bound)
             if key_bytes not in self._index:
                 self._index[key_bytes] = self._write(key_bytes, value)
             return Key(key_bytes)
@@ -196,12 +233,7 @@ class LocalStore(Store):
         check_key(key)
         with self._lock:
             self._check_open()
-            if isinstance(self._policy, ContentHashKeys):
-                expected = ContentHashKeys.digest(value)
-                if key.raw != expected:
-                    raise KeyMismatchError(
-                        f"key {key.hex} is not the content digest {expected.hex()}"
-                    )
+            self._policy.check(key, value)
             if key.raw in self._index:
                 if self._read(key.raw, self._index[key.raw]) == value:
                     return  # identical binding already present
@@ -222,7 +254,7 @@ class LocalStore(Store):
         return self._closed
 
     def close(self) -> None:
-        """Mark the store closed; every later operation raises ValueError."""
+        """Mark the store closed; every later operation raises StoreClosedError."""
         with self._lock:
             self._closed = True
 
@@ -254,32 +286,11 @@ class LocalStore(Store):
 
     def _check_open(self) -> None:
         if self._closed:
-            raise ValueError("store is closed")
+            raise StoreClosedError("store is closed")
 
-    def _generate_key(self, value: bytes) -> bytes:
-        policy = self._policy
-        if isinstance(policy, ContentHashKeys):
-            return ContentHashKeys.digest(value)
-        if isinstance(policy, SequenceKeys):
-            # skip slots occupied via put_with_key; issued keys never repeat
-            while True:
-                if policy.next_seq > _U64_MAX:
-                    raise KeyGenerationError("sequence key space exhausted")
-                key_bytes = struct.pack(">Q", policy.next_seq)
-                policy.next_seq += 1
-                if key_bytes not in self._index:
-                    return key_bytes
-        if isinstance(policy, RandomKeys):
-            for _ in range(MAX_RANDOM_RETRIES):
-                key_bytes = secrets.token_bytes(policy.key_len)
-                if key_bytes not in self._index:
-                    return key_bytes
-                if self._read(key_bytes, self._index[key_bytes]) == value:
-                    return key_bytes  # collided with an identical binding
-            raise KeyGenerationError(
-                f"no unused random key after {MAX_RANDOM_RETRIES} attempts"
-            )
-        raise TypeError(f"unsupported key policy {type(policy).__name__}")
+    def _bound(self, key_bytes: bytes) -> bytes | None:
+        locator = self._index.get(key_bytes)
+        return None if locator is None else self._read(key_bytes, locator)
 
 
 class MemoryStore(LocalStore):
@@ -295,31 +306,20 @@ class MemoryStore(LocalStore):
         return locator
 
 
-def _policy_tag(extra: bytes, source: str) -> int:
-    tag = extra[0]
-    if tag not in _POLICY_TYPES:
-        raise CorruptionError(f"{source}: unknown policy tag {tag:#04x}")
-    return tag
-
-
-def _resolve_policy(requested: KeyPolicy | str | None, tag: int, source: str) -> KeyPolicy:
-    """Reconcile a caller-requested policy with the header tag."""
+def _header_policy(requested, extra: bytes, header: str, store: str) -> KeyPolicy:
+    """The policy of the tag in extra, read from header, checked against the
+    one requested for the store at store (None: the header's)."""
+    cls = _POLICY_TAGS.get(extra[0])
+    if cls is None:
+        raise CorruptionError(f"{header}: unknown policy tag {extra[0]:#04x}")
     if requested is None:
-        return _POLICY_TYPES[tag]()
+        return cls()
     policy = make_policy(requested)
-    if policy.tag != tag:
+    if policy.tag != cls.tag:
         raise PolicyMismatchError(
-            f"{source}: header records {_POLICY_TYPES[tag].kind!r} "
-            f"but {policy.kind!r} was requested"
+            f"{store}: header records {cls.kind!r} but {policy.kind!r} was requested"
         )
     return policy
-
-
-def _resume_sequence(policy: KeyPolicy, top: bytes) -> None:
-    """Resume a sequence counter past top, the highest 8-byte key bound (b""
-    if none). Big-endian keys of one length sort as their numbers do."""
-    if isinstance(policy, SequenceKeys) and top:
-        policy.next_seq = max(policy.next_seq, int.from_bytes(top, "big") + 1)
 
 
 class AppendLogStore(FramedLog, LocalStore):
@@ -355,7 +355,7 @@ class AppendLogStore(FramedLog, LocalStore):
 
         def replay(header, records):
             self._id, extra = header
-            self._policy = _resolve_policy(policy, _policy_tag(extra, str(path)), str(path))
+            self._policy = _header_policy(policy, extra, str(path), str(path))
             index, top = self._index, self._top
             for start, _, key_bytes, value, end in records:
                 existing = index.get(key_bytes)
@@ -369,7 +369,7 @@ class AppendLogStore(FramedLog, LocalStore):
             self._top = top
 
         self._open_log(path, self._id, bytes([self._policy.tag]), replay)
-        _resume_sequence(self._policy, self._top)
+        self._policy.resume(self._top)
         return self
 
     def _hint_state(self) -> tuple[bytes, dict[bytes, tuple[int, int]]]:
@@ -424,11 +424,10 @@ class FilePerKeyStore(LocalStore):
         self = object.__new__(cls)
         if meta_path.exists():
             sid, extra = STORE_LOG.check_header(meta_path.read_bytes(), str(meta_path))
-            tag = _policy_tag(extra, str(meta_path))
-            resolved = _resolve_policy(policy, tag, str(directory))
+            resolved = _header_policy(policy, extra, str(meta_path), str(directory))
             LocalStore.__init__(self, sid, resolved)
             self._index = _scan_value_files(directory)
-            _resume_sequence(resolved, max((k for k in self._index if len(k) == 8), default=b""))
+            resolved.resume(max((k for k in self._index if len(k) == 8), default=b""))
         else:
             if directory.exists() and any(directory.iterdir()):
                 raise CorruptionError(f"{directory}: not empty and no {META_FILENAME}")
@@ -483,8 +482,7 @@ def _atomic_write(target: Path, data: bytes) -> None:
         raise
 
 
-LAYOUT_APPEND_LOG = "append-log"
-LAYOUT_FILE_PER_KEY = "file-per-key"
+LAYOUTS = {"append-log": AppendLogStore, "file-per-key": FilePerKeyStore}
 
 
 def open_store(
@@ -501,17 +499,11 @@ def open_store(
     """
     p = Path(path)
     if layout is None:
-        if p.is_dir():
-            layout = LAYOUT_FILE_PER_KEY
-        else:
-            layout = LAYOUT_APPEND_LOG
-    if layout == LAYOUT_APPEND_LOG:
-        return AppendLogStore.open(p, policy, store_id)
-    if layout == LAYOUT_FILE_PER_KEY:
-        return FilePerKeyStore.open(p, policy, store_id)
-    raise ValueError(
-        f"unknown layout {layout!r}; expected {LAYOUT_APPEND_LOG!r} or {LAYOUT_FILE_PER_KEY!r}"
-    )
+        layout = "file-per-key" if p.is_dir() else "append-log"
+    cls = LAYOUTS.get(layout)
+    if cls is None:
+        raise ValueError(f"unknown layout {layout!r}; expected {' or '.join(map(repr, LAYOUTS))}")
+    return cls.open(p, policy, store_id)
 
 
 def get_root_store(home: str | os.PathLike | None = None) -> AppendLogStore:

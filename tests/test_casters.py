@@ -18,7 +18,7 @@ from xbase.casters import (
     store_reflect,
     store_reify,
 )
-from xbase.core import InvalidRepresentationError, Key, Name, StoreID
+from xbase.core import InvalidRepresentationError, Key, KeyGenerationError, Name, StoreID
 from xbase.namer import MemoryNamer
 from xbase.stores import MemoryStore, SequenceKeys
 from xbase.xmldoc import xml_parse
@@ -163,6 +163,23 @@ class TestStoreCaster:
         for raw in bad:
             with pytest.raises(InvalidRepresentationError):
                 store_reflect(raw)
+
+    def test_seq_next_past_the_key_space_rejected(self):
+        # a counter reaches 2**64 (exhausted) but never more
+        for seq_next in ("0", str(2**64 + 1), "99999999999999999999999"):
+            image = f'<store id="{FIXED_HEX}" policy="sequence" seq-next="{seq_next}"/>'
+            with pytest.raises(InvalidRepresentationError, match="bad seq-next"):
+                store_reflect(image.encode())
+
+    def test_exhausted_sequence_store_round_trips(self):
+        store = MemoryStore(policy=SequenceKeys(next_seq=2**64 - 1), store_id=FIXED_ID)
+        store.put(b"last")
+        image = store_reify(store)
+        assert f'seq-next="{2**64}"'.encode() in image
+        copy = store_reflect(image)
+        assert store_reify(copy) == image
+        with pytest.raises(KeyGenerationError):
+            copy.put(b"more")
 
     def test_duplicate_entry_keys_rejected(self):
         raw = (

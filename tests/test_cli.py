@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 import xbase.home
-from xbase import cli
+from xbase import cli, stores
 from xbase.cli import main
 from xbase.core import Key, Name
 from xbase.namer import LogNamer, get_root_namer
@@ -164,6 +164,14 @@ def test_a_root_the_process_holds_stays_open(tmp_home, capsys):
 class TestArgparseBehavior:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
+
+    def test_store_options_list_the_store_module_tables(self, capsys):
+        assert main(["put", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--layout {%s}" % ",".join(stores.LAYOUTS) in out
+        assert "--policy {%s}" % ",".join(stores.POLICIES) in out
+        assert list(stores.LAYOUTS) == ["append-log", "file-per-key"]
+        assert list(stores.POLICIES) == ["random", "sequence", "content-hash"]
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -48,6 +48,7 @@ from xbase.netstore import (
     serve,
 )
 from conftest import check_batches_match_loops
+from xbase import cli
 from xbase.stores import MemoryStore, get_root_store
 
 
@@ -307,6 +308,28 @@ class TestServerAndRemote:
                     remote.get(Key(b"\x01"))
         finally:
             server.stop()
+
+    def test_closed_store_is_not_a_malformed_request(self, capsys):
+        # a well-formed request that finds the served store closed is the
+        # server's trouble, not the client's framing
+        store = MemoryStore(policy="content-hash")
+        key = store.put(b"v")
+        with serve(store, ("127.0.0.1", 0)) as server:
+            store.close()
+            with pytest.raises(ValueError, match="store is closed"):
+                store.get(key)
+            err, _ = decode_message(
+                _raw_exchange(server.address, encode_message(GetRequest(key.raw)))
+            )
+            assert err == ErrResponse(0x05, "store is closed")
+            with RemoteStore(server.address, timeout=5) as remote:
+                with pytest.raises(RemoteError, match="store is closed"):
+                    remote.get(key)
+                with pytest.raises(RemoteError):
+                    remote.put(b"w")
+            host, port = server.address
+            assert cli.main(["get", "--store", f"{host}:{port}", key.hex]) == 2
+            assert "store is closed" in capsys.readouterr().err
 
     def test_with_drops_the_connection(self, loopback):
         _, server = loopback

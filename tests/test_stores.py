@@ -17,6 +17,7 @@ from xbase.core import (
     KeyConflictError,
     KeyGenerationError,
     KeyMismatchError,
+    MAX_KEY_LEN,
     PolicyMismatchError,
     StoreID,
     UnknownKeyError,
@@ -527,3 +528,108 @@ def test_concurrent_puts_are_linearizable(tmp_path):
 def test_memory_round_trip_property(value):
     store = MemoryStore()
     assert store.get(store.put(value)) == value
+
+
+class TestRuleErrors:
+    """The type and exact message of each key-policy and layout error."""
+
+    def test_sequence_exhaustion(self):
+        store = MemoryStore(policy=SequenceKeys(next_seq=2**64 - 1))
+        assert store.put(b"last").raw == b"\xff" * 8
+        with pytest.raises(KeyGenerationError) as exc:
+            store.put(b"one too many")
+        assert str(exc.value) == "sequence key space exhausted"
+
+    def test_random_retries_exhausted(self, monkeypatch):
+        store = MemoryStore(policy="random")
+        first = store.put(b"one")
+        monkeypatch.setattr(stores_module.secrets, "token_bytes", lambda n: first.raw)
+        with pytest.raises(KeyGenerationError) as exc:
+            store.put(b"two")
+        assert str(exc.value) == "no unused random key after 8 attempts"
+
+    def test_key_mismatch(self):
+        store = MemoryStore(policy="content-hash")
+        with pytest.raises(KeyMismatchError) as exc:
+            store.put_with_key(b"", Key(b"\x01" * 32))
+        assert str(exc.value) == f"key {'01' * 32} is not the content digest {SHA256_EMPTY}"
+
+    def test_policy_mismatch_in_a_log(self, tmp_path):
+        path = tmp_path / "p.store"
+        AppendLogStore.open(path, policy="sequence").close()
+        with pytest.raises(PolicyMismatchError) as exc:
+            AppendLogStore.open(path, policy="content-hash")
+        assert str(exc.value) == (
+            f"{path}: header records 'sequence' but 'content-hash' was requested")
+
+    def test_policy_mismatch_in_a_directory(self, tmp_path):
+        directory = tmp_path / "p.dir"
+        FilePerKeyStore.open(directory, policy="random").close()
+        with pytest.raises(PolicyMismatchError) as exc:
+            FilePerKeyStore.open(directory, policy=SequenceKeys())
+        assert str(exc.value) == (
+            f"{directory}: header records 'random' but 'sequence' was requested")
+
+    def test_unknown_policy_tag_in_a_log_header(self, tmp_path):
+        path = tmp_path / "t.store"
+        AppendLogStore.open(path, policy="sequence").close()
+        (tmp_path / "t.store.hint").unlink(missing_ok=True)
+        data = bytearray(path.read_bytes())
+        data[HEADER_LEN - 1] = 0x07
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError) as exc:
+            AppendLogStore.open(path)
+        assert str(exc.value) == f"{path}: unknown policy tag 0x07"
+
+    def test_unknown_policy_tag_in_store_meta(self, tmp_path):
+        directory = tmp_path / "t.dir"
+        FilePerKeyStore.open(directory, policy="sequence").close()
+        meta = directory / META_FILENAME
+        data = bytearray(meta.read_bytes())
+        data[HEADER_LEN - 1] = 0x07
+        meta.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError) as exc:
+            FilePerKeyStore.open(directory, policy="sequence")
+        assert str(exc.value) == f"{meta}: unknown policy tag 0x07"
+
+    def test_unknown_layout(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            open_store(tmp_path / "x", layout="btree")
+        assert str(exc.value) == (
+            "unknown layout 'btree'; expected 'append-log' or 'file-per-key'")
+        assert not (tmp_path / "x").exists()
+
+    def test_make_policy_unknown_kind(self):
+        with pytest.raises(ValueError) as exc:
+            stores_module.make_policy("fancy")
+        assert str(exc.value) == (
+            "unknown key policy 'fancy'; expected one of "
+            "['content-hash', 'random', 'sequence']")
+
+    def test_make_policy_non_policy(self):
+        with pytest.raises(TypeError) as exc:
+            stores_module.make_policy(3)
+        assert str(exc.value) == "policy must be KeyPolicy or str, got int"
+
+    @pytest.mark.parametrize("key_len", (0, MAX_KEY_LEN + 1))
+    def test_random_key_len_out_of_range(self, key_len):
+        with pytest.raises(ValueError) as exc:
+            RandomKeys(key_len=key_len)
+        assert str(exc.value) == f"key_len must be in 1..{MAX_KEY_LEN}"
+
+    @pytest.mark.parametrize("next_seq", (0, -1, 2**64 + 1))
+    def test_sequence_next_seq_out_of_range(self, next_seq):
+        with pytest.raises(ValueError) as exc:
+            SequenceKeys(next_seq=next_seq)
+        assert str(exc.value) == "next_seq must be an unsigned 64-bit value >= 1"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_contains(layout, tmp_path):
+    store = make_store(layout, tmp_path, "sequence")
+    key = store.put(b"v")
+    assert key in store
+    assert Key(b"\x00" * 8) not in store
+    with pytest.raises(TypeError):
+        b"\x00" * 8 in store
+    store.close()
