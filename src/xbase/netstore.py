@@ -334,6 +334,38 @@ class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._connections: set[socket.socket] = set()  # accepted and not yet closed
+        self._connections_lock = threading.Lock()
+        self._stopped = False
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            stopped = self._stopped
+            if not stopped:
+                self._connections.add(request)
+        if stopped:
+            self.shutdown_request(request)
+        else:
+            super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every accepted connection both ways, and any accepted later:
+        its handler reads end of stream, and nothing it writes is sent."""
+        with self._connections_lock:  # held, so no handler closes one meanwhile
+            self._stopped = True
+            for sock in self._connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client went away first
+
 
 # how often a serve loop checks for stop(), so about how long stop() waits
 # for it (socketserver's default is 0.5 s)
@@ -366,11 +398,14 @@ class StoreServer:
         self._server.serve_forever(_POLL_SECONDS)
 
     def stop(self) -> None:
+        """Stop serving and close every connection: a stopped server answers
+        nothing, and its clients see the connection end."""
         # shutdown() waits for a serve loop to end: forever if none was
         # started, and briefly for one started but not yet running.
         if self._looped:
             self._server.shutdown()
         self._server.server_close()
+        self._server.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
 

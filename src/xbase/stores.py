@@ -25,10 +25,12 @@ final xor 0xFFFFFFFF, i.e. plain zlib.crc32).
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 import secrets
 import struct
 import threading
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -73,6 +75,8 @@ POLICY_TAG_CONTENT_HASH = 0x03
 
 MAX_RANDOM_RETRIES = 8
 _U64_MAX = 2**64 - 1
+
+KEYDIR_BUCKETS = 256  # an append log's hint packs its keydir in this many buckets
 
 
 class KeyPolicy:
@@ -192,7 +196,9 @@ class LocalStore(Store):
     """Shared engine over an insertion-ordered key index; subclasses persist.
 
     Subclasses implement _write(key_bytes, value) -> locator and
-    _read(key_bytes, locator) -> value. All operations are linearizable:
+    _read(key_bytes, locator) -> value. The engine reaches the index only
+    through _locate (one key) and _entries (all of them), which a subclass
+    may override to load the index lazily. All operations are linearizable:
     a single lock serializes writes and index updates.
     """
 
@@ -215,7 +221,7 @@ class LocalStore(Store):
         with self._lock:
             self._check_open()
             key_bytes = self._policy.mint(value, self._bound)
-            if key_bytes not in self._index:
+            if self._locate(key_bytes) is None:
                 self._index[key_bytes] = self._write(key_bytes, value)
             return Key(key_bytes)
 
@@ -223,9 +229,9 @@ class LocalStore(Store):
         check_key(key)
         with self._lock:
             self._check_open()
-            if key.raw not in self._index:
+            locator = self._locate(key.raw)
+            if locator is None:
                 raise UnknownKeyError(key.hex)
-            locator = self._index[key.raw]
         return self._read(key.raw, locator)
 
     def put_with_key(self, value: BitString, key: Key) -> None:
@@ -234,8 +240,9 @@ class LocalStore(Store):
         with self._lock:
             self._check_open()
             self._policy.check(key, value)
-            if key.raw in self._index:
-                if self._read(key.raw, self._index[key.raw]) == value:
+            locator = self._locate(key.raw)
+            if locator is not None:
+                if self._read(key.raw, locator) == value:
                     return  # identical binding already present
                 raise KeyConflictError(f"key {key.hex} is bound to a different value")
             self._index[key.raw] = self._write(key.raw, value)
@@ -260,17 +267,17 @@ class LocalStore(Store):
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._index)
+            return len(self._entries())
 
     def __contains__(self, key: Key) -> bool:
         check_key(key)
         with self._lock:
-            return key.raw in self._index
+            return self._locate(key.raw) is not None
 
     def keys(self) -> list[Key]:
         """Snapshot of all bound keys in iteration order."""
         with self._lock:
-            return [Key(kb) for kb in self._index]
+            return [Key(kb) for kb in self._entries()]
 
     def bindings(self) -> Iterator[tuple[Key, bytes]]:
         """Snapshot of every (key, value) binding in iteration order.
@@ -280,7 +287,7 @@ class LocalStore(Store):
         """
         with self._lock:
             self._check_open()
-            entries = list(self._index.items())
+            entries = list(self._entries().items())
         for key_bytes, locator in entries:
             yield Key(key_bytes), self._read(key_bytes, locator)
 
@@ -289,8 +296,18 @@ class LocalStore(Store):
             raise StoreClosedError("store is closed")
 
     def _bound(self, key_bytes: bytes) -> bytes | None:
-        locator = self._index.get(key_bytes)
+        locator = self._locate(key_bytes)
         return None if locator is None else self._read(key_bytes, locator)
+
+    # the only two ways to the index
+    def _locate(self, key_bytes: bytes) -> Any:
+        """The locator key_bytes is bound to, None if unbound; afterwards
+        _index[key_bytes] may be set to bind it."""
+        return self._index.get(key_bytes)
+
+    def _entries(self) -> dict[bytes, Any]:
+        """The whole index, key -> locator, in iteration order."""
+        return self._index
 
 
 class MemoryStore(LocalStore):
@@ -330,6 +347,14 @@ class AppendLogStore(FramedLog, LocalStore):
     fails leaves no partial record behind. Recovery on open, locking and the
     <log>.hint sidecar (the keydir and the highest 8-byte key) follow
     framedlog.py.
+
+    The hint splits the keydir into KEYDIR_BUCKETS buckets by the low byte
+    of zlib.crc32(key), each kept packed as (key count, marshal bytes of its
+    {key: (offset, length)}). An open through the hint decodes none of them:
+    a lookup merges the one bucket of its key into the index, and len,
+    keys() and bindings() merge them all, then restore log order by offset.
+    A packed bucket that does not decode to its count raises CorruptionError
+    then. Close packs again only the buckets it decoded.
     """
 
     _format = STORE_LOG
@@ -352,18 +377,22 @@ class AppendLogStore(FramedLog, LocalStore):
         self = object.__new__(cls)
         LocalStore.__init__(self, store_id or StoreID.generate(), make_policy(policy))
         self._top = b""  # the highest 8-byte key bound, b"" if none
+        # bucket number -> (count, marshal bytes), for the hint's buckets not
+        # yet merged into _index; None while _index is whole and in log order
+        self._packed: dict[int, tuple[int, bytes]] | None = None
 
         def replay(header, records):
             self._id, extra = header
             self._policy = _header_policy(policy, extra, str(path), str(path))
             index, top = self._index, self._top
             for start, _, key_bytes, value, end in records:
-                existing = index.get(key_bytes)
+                existing = self._locate(key_bytes)
+                if existing is None:
+                    index[key_bytes] = (end - 4 - len(value), len(value))
                 # a well-formed log never repeats a key; tolerate an exact
-                # duplicate record but reject a rebinding
-                if existing is not None and self._read(key_bytes, existing) != value:
+                # duplicate record, keeping the first, but reject a rebinding
+                elif self._read(key_bytes, existing) != value:
                     raise CorruptionError(f"{path}: key rebound at offset {start}")
-                index[key_bytes] = (end - 4 - len(value), len(value))
                 if len(key_bytes) == 8 and key_bytes > top:
                     top = key_bytes
             self._top = top
@@ -372,14 +401,51 @@ class AppendLogStore(FramedLog, LocalStore):
         self._policy.resume(self._top)
         return self
 
-    def _hint_state(self) -> tuple[bytes, dict[bytes, tuple[int, int]]]:
-        return self._top, self._index
+    def _hint_state(self) -> tuple[bytes, list[tuple[int, bytes]]]:
+        packed = self._packed or {}
+        groups: list[dict] = [{} for _ in range(KEYDIR_BUCKETS)]
+        for key_bytes, locator in self._index.items():
+            groups[zlib.crc32(key_bytes) % KEYDIR_BUCKETS][key_bytes] = locator
+        return self._top, [packed.get(number) or (len(group), marshal.dumps(group))
+                           for number, group in enumerate(groups)]
 
     def _restore_hint(self, state) -> None:
-        top, index = state
-        if type(top) is not bytes or type(index) is not dict:
+        top, buckets = state
+        if not (type(top) is bytes and type(buckets) is list and len(buckets) == KEYDIR_BUCKETS
+                and all(type(bucket) is tuple and len(bucket) == 2 and type(bucket[0]) is int
+                        and type(bucket[1]) is bytes for bucket in buckets)):
             raise ValueError("unexpected store hint shape")
-        self._top, self._index = top, index
+        self._top, self._packed = top, dict(enumerate(buckets))
+
+    def _locate(self, key_bytes: bytes) -> tuple[int, int] | None:
+        if self._packed:
+            number = zlib.crc32(key_bytes) % KEYDIR_BUCKETS
+            if number in self._packed:
+                self._merge(number)
+        return self._index.get(key_bytes)
+
+    def _entries(self) -> dict[bytes, tuple[int, int]]:
+        if self._packed is not None:
+            for number in list(self._packed):
+                self._merge(number)
+            # offsets grow with each record, so this is the log's order
+            self._index = dict(sorted(self._index.items(), key=lambda item: item[1][0]))
+            self._packed = None
+        return self._index
+
+    def _merge(self, number: int) -> None:
+        """Decode packed bucket number into the index."""
+        count, blob = self._packed[number]
+        try:
+            entries = marshal.loads(blob)
+        except (EOFError, TypeError, ValueError):
+            entries = None
+        if type(entries) is not dict or len(entries) != count:
+            raise CorruptionError(
+                f"{self._hint_path()}: keydir bucket {number} does not decode to"
+                f" {count} keys; delete the hint to replay the log")
+        self._index.update(entries)
+        del self._packed[number]
 
     def _write(self, key_bytes: bytes, value: bytes) -> tuple[int, int]:
         start = self._append_bytes(STORE_LOG.record((), key_bytes, value))

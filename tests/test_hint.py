@@ -4,10 +4,15 @@ and only a close after the log has grown rewrites it."""
 import builtins
 import logging
 import marshal
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import xbase
 from conftest import HalfWriteFile, crc32_reference
 from xbase import framedlog
 from xbase.cli import main
@@ -229,17 +234,59 @@ def test_flipped_byte_in_covered_prefix_raises_as_without_hint(kind, tmp_path, c
 def test_hint_layout(tmp_path):
     path = tmp_path / "s.log"
     with AppendLogStore.open(path, policy="sequence") as store:
-        k1 = store.put(b"one")
-        store.put(b"two")
+        keys = [store.put(b"%03d" % i) for i in range(300)]
     data = hint_of(path).read_bytes()
     log = path.read_bytes()
     assert data[0] == 0x01
     assert int.from_bytes(data[-4:], "big") == crc32_reference(data[:-4])
-    log_id, end, crc, (top, keydir) = marshal.loads(data[1:-4])
+    log_id, end, crc, (top, buckets) = marshal.loads(data[1:-4])
     assert log_id == log[5:21] and end == len(log)
     assert crc == crc32_reference(log)
-    assert top == (2).to_bytes(8, "big")
-    assert keydir[k1.raw] == (HEADER_LEN + 8 + 8, 3)
+    assert top == (300).to_bytes(8, "big")
+    # the keydir, in 256 buckets of (count, marshal bytes of {key: (offset, length)}),
+    # each key in bucket crc32(key) & 255
+    assert type(buckets) is list and len(buckets) == 256
+    keydir = {}
+    for number, (count, blob) in enumerate(buckets):
+        entries = marshal.loads(blob)
+        assert type(entries) is dict and len(entries) == count
+        assert all(crc32_reference(key) & 255 == number for key in entries)
+        keydir.update(entries)
+    record = 4 + 8 + 4 + 3 + 4
+    assert keydir == {k.raw: (HEADER_LEN + i * record + 16, 3) for i, k in enumerate(keys)}
+
+
+def test_hint_is_trusted_under_another_hash_seed(tmp_path):
+    """The keydir buckets do not follow the per-process hash(): a hint
+    written under one PYTHONHASHSEED is trusted under another, and every
+    key is found in it."""
+    path = tmp_path / "s.log"
+    script = """if True:
+        import sys
+        from xbase.core import Key
+        from xbase.stores import AppendLogStore
+        with AppendLogStore.open(sys.argv[1], policy="sequence") as store:
+            if sys.argv[2] == "write":
+                for i in range(500):
+                    store.put(b"value %d" % i)
+            else:
+                keys = [Key(i.to_bytes(8, "big")) for i in range(1, 501)]
+                print(store._hint_end != 0,
+                      all(store.get(k) == b"value %d" % i for i, k in enumerate(keys)),
+                      Key((501).to_bytes(8, "big")) in store)
+    """
+
+    def run(seed, mode):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(xbase.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", script, str(path), mode],
+                              capture_output=True, env=env, timeout=60, check=True)
+
+    run("1", "write")
+    before = hint_of(path).stat()
+    assert run("2", "read").stdout.split() == [b"True", b"True", b"False"]
+    after = hint_of(path).stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_lookup_as_of_matches_a_fold_of_the_records(tmp_path):

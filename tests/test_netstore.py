@@ -433,9 +433,32 @@ class TestServerAndRemote:
         remote = RemoteStore(server.address, timeout=1)
         key = remote.put(b"x")
         server.stop()
-        remote.close()  # established connections outlive stop(); force a reconnect
+        remote.close()  # a new connection is refused as well
         with pytest.raises(UnreachableError):
             remote.get(key)
+
+    def test_stop_closes_the_connections_it_accepted(self):
+        """A client connected before stop() gets no answer after it: the
+        RemoteStore raises, and a raw request on an accepted connection
+        reads end of stream."""
+        server = serve(MemoryStore(policy="sequence"), ("127.0.0.1", 0))
+        remote = RemoteStore(server.address, timeout=2)
+        key = remote.put(b"v")
+        with socket.create_connection(server.address, timeout=2) as raw:
+            with raw.makefile("rb") as rfile:
+                request = encode_message(GetRequest(key.raw))
+                raw.sendall(request)
+                assert read_message(rfile.read) == DataResponse(b"v")  # accepted
+                server.stop()
+                with pytest.raises(UnreachableError):
+                    remote.get(key)
+                try:
+                    raw.sendall(request)
+                    answer = rfile.read()
+                except OSError:  # reset: the server's side is gone
+                    answer = b""
+                assert answer == b""
+        remote.close()
 
     def test_concurrent_clients(self, loopback):
         store, server = loopback
