@@ -16,7 +16,10 @@ fsyncs the log and then writes a derived sidecar <log>.hint through a
 temporary file and os.replace. The sidecar holds a format byte, the log id,
 the end offset it covers, the CRC32 of the whole log prefix [0, end), the
 host's replay state at that offset (a store's keydir, a namer's bindings
-and per-name history), and a CRC32 of the sidecar itself. Open trusts it
+and per-name history), and a CRC32 of the sidecar itself. A host may keep
+parts of its state packed as marshal bytes, each with the count it must
+decode to, and decode a part only when first used: a store's keydir in
+256 buckets by key CRC32, a namer's history per name. Open trusts it
 only if its own CRC holds, it decodes to the expected shape, the ids match,
 the log is at least end bytes long, and one chunked CRC32 pass over
 [0, end) gives the stored prefix CRC; it then replays only the records past
@@ -100,6 +103,18 @@ def _crc32_range(reader, start: int, end: int, crc: int) -> int:
         crc = zlib.crc32(buf[:n], crc)
         start += n
     return crc
+
+
+def pack(part) -> tuple[int, bytes]:
+    """A part of a replay state kept packed in the hint until first use:
+    (its length, its marshal bytes)."""
+    return len(part), marshal.dumps(part)
+
+
+def all_packed(parts) -> bool:
+    """Whether every one of parts has the shape pack gives."""
+    return all(type(part) is tuple and len(part) == 2 and type(part[0]) is int
+               and type(part[1]) is bytes for part in parts)
 
 
 class FramedLog:
@@ -191,6 +206,19 @@ class FramedLog:
         except (TypeError, ValueError):
             return self._no_hint("format")
         return end, crc
+
+    def _unpack(self, packed: tuple[int, bytes], kind: type, what: str):
+        """Decode a part that pack packed. It must be a kind of the packed
+        length; if not, raise CorruptionError naming the hint and what."""
+        count, blob = packed
+        try:
+            part = marshal.loads(blob)
+        except (EOFError, TypeError, ValueError):
+            part = None
+        if type(part) is not kind or len(part) != count:
+            raise CorruptionError(f"{self._hint_path()}: {what} does not decode to"
+                                  f" {count} entries; delete the hint to replay the log")
+        return part
 
     def _no_hint(self, reason: str) -> tuple[int, int]:
         logger.info("%s: hint not used (%s); replaying the whole log", self._path, reason)

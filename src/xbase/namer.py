@@ -23,7 +23,6 @@ bytes of the history), so an open decodes only the histories it uses.
 """
 from __future__ import annotations
 
-import marshal
 import os
 import struct
 import threading
@@ -45,7 +44,7 @@ from .core import (
     check_key,
     check_name,
 )
-from .framedlog import FramedLog, LogFormat
+from .framedlog import FramedLog, LogFormat, all_packed, pack
 from .home import ROOT_NAMER_FILENAME, open_root
 
 NAMER_MAGIC = b"XNM1"
@@ -206,15 +205,14 @@ class LogNamer(FramedLog, MemoryNamer):
 
     def _hint_state(self) -> tuple:
         live = {name.text: [key.raw for key in keys] for name, keys in self._bindings.items()}
-        packed = {text: (len(history), marshal.dumps(history)) if type(history) is list
-                  else history for text, history in self._history.items()}
+        packed = {text: pack(history) if type(history) is list else history
+                  for text, history in self._history.items()}
         return self._max_seq, live, packed
 
     def _restore_hint(self, state) -> None:
         max_seq, live, history = state
         if not (type(max_seq) is int and type(live) is dict and type(history) is dict
-                and all(type(packed) is tuple and len(packed) == 2 and type(packed[0]) is int
-                        and type(packed[1]) is bytes for packed in history.values())
+                and all_packed(history.values())
                 and sum(count for count, _ in history.values()) == max_seq):
             raise ValueError("unexpected namer hint shape")
         bindings = {Name(text): {Key(raw) for raw in raws} for text, raws in live.items()}
@@ -227,16 +225,7 @@ class LogNamer(FramedLog, MemoryNamer):
         if history is None:
             return []
         if type(history) is tuple:
-            count, blob = history
-            try:
-                history = marshal.loads(blob)
-            except (EOFError, TypeError, ValueError):
-                history = None
-            if type(history) is not list or len(history) != count:
-                raise CorruptionError(
-                    f"{self._hint_path()}: the history of {text!r} does not decode to"
-                    f" {count} records; delete the hint to replay the log")
-            self._history[text] = history
+            history = self._history[text] = self._unpack(history, list, f"the history of {text!r}")
         return history
 
     @property

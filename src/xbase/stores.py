@@ -4,7 +4,8 @@ Three layouts share one put/get engine:
 
 * MemoryStore    - transient, bindings held solely in memory
 * AppendLogStore - one append-only log file (see framedlog.py for its
-                   framing, torn-tail recovery and locking)
+                   framing, torn-tail recovery, locking and hint; the hint
+                   keeps the keydir in buckets decoded on first use)
 * FilePerKeyStore - one value file per binding, named by the key's hex form,
                     written to a temporary name and renamed into place
 
@@ -25,7 +26,6 @@ final xor 0xFFFFFFFF, i.e. plain zlib.crc32).
 from __future__ import annotations
 
 import hashlib
-import marshal
 import os
 import secrets
 import struct
@@ -51,7 +51,7 @@ from .core import (
     check_key,
     check_value,
 )
-from .framedlog import FramedLog, LogFormat
+from .framedlog import FramedLog, LogFormat, all_packed, pack
 from .home import ROOT_STORE_FILENAME, open_root
 
 LOG_MAGIC = b"XLG1"
@@ -406,14 +406,12 @@ class AppendLogStore(FramedLog, LocalStore):
         groups: list[dict] = [{} for _ in range(KEYDIR_BUCKETS)]
         for key_bytes, locator in self._index.items():
             groups[zlib.crc32(key_bytes) % KEYDIR_BUCKETS][key_bytes] = locator
-        return self._top, [packed.get(number) or (len(group), marshal.dumps(group))
-                           for number, group in enumerate(groups)]
+        return self._top, [packed.get(number) or pack(group) for number, group in enumerate(groups)]
 
     def _restore_hint(self, state) -> None:
         top, buckets = state
         if not (type(top) is bytes and type(buckets) is list and len(buckets) == KEYDIR_BUCKETS
-                and all(type(bucket) is tuple and len(bucket) == 2 and type(bucket[0]) is int
-                        and type(bucket[1]) is bytes for bucket in buckets)):
+                and all_packed(buckets)):
             raise ValueError("unexpected store hint shape")
         self._top, self._packed = top, dict(enumerate(buckets))
 
@@ -435,16 +433,7 @@ class AppendLogStore(FramedLog, LocalStore):
 
     def _merge(self, number: int) -> None:
         """Decode packed bucket number into the index."""
-        count, blob = self._packed[number]
-        try:
-            entries = marshal.loads(blob)
-        except (EOFError, TypeError, ValueError):
-            entries = None
-        if type(entries) is not dict or len(entries) != count:
-            raise CorruptionError(
-                f"{self._hint_path()}: keydir bucket {number} does not decode to"
-                f" {count} keys; delete the hint to replay the log")
-        self._index.update(entries)
+        self._index.update(self._unpack(self._packed[number], dict, f"keydir bucket {number}"))
         del self._packed[number]
 
     def _write(self, key_bytes: bytes, value: bytes) -> tuple[int, int]:
