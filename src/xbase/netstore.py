@@ -338,17 +338,11 @@ class _Server(socketserver.ThreadingTCPServer):
         super().__init__(address, handler)
         self._connections: set[socket.socket] = set()  # accepted and not yet closed
         self._connections_lock = threading.Lock()
-        self._stopped = False
 
     def process_request(self, request, client_address):
         with self._connections_lock:
-            stopped = self._stopped
-            if not stopped:
-                self._connections.add(request)
-        if stopped:
-            self.shutdown_request(request)
-        else:
-            super().process_request(request, client_address)
+            self._connections.add(request)
+        super().process_request(request, client_address)
 
     def shutdown_request(self, request):
         with self._connections_lock:
@@ -356,10 +350,10 @@ class _Server(socketserver.ThreadingTCPServer):
         super().shutdown_request(request)
 
     def close_connections(self) -> None:
-        """Shut every accepted connection both ways, and any accepted later:
-        its handler reads end of stream, and nothing it writes is sent."""
+        """Shut every accepted connection both ways: its handler reads end
+        of stream, and nothing it writes is sent. Once the serve loop has
+        ended, no connection is accepted after this."""
         with self._connections_lock:  # held, so no handler closes one meanwhile
-            self._stopped = True
             for sock in self._connections:
                 try:
                     sock.shutdown(socket.SHUT_RDWR)
