@@ -366,7 +366,7 @@ class _Parser:
 
 def _trusted(cls, **fields):
     """Build a node from fields its caller has already validated, skipping
-    __post_init__. Only the parser and defragmentation use it."""
+    __post_init__. Only the parser and xmlfrag use it."""
     node = object.__new__(cls)
     node.__dict__.update(fields)
     return node

@@ -7,9 +7,20 @@ replaced by x-ref placeholder elements; a collapsed or unmatched element
 stays in one piece. Fragments are written child-first, one put_many per
 tree level from the deepest up (level order), so every reference points at
 a fragment that already exists and the fragment graph is acyclic by
-construction. Reading fetches level by level too, one get_many per store,
-and each distinct fragment once per call. Neither direction recurses, so
-nesting depth is limited only by memory.
+construction. Reading fetches level by level too, one get_many per store;
+each distinct fragment is fetched once per call, and parsed once while its
+bytes stay in the memo. Neither direction recurses, so nesting depth is
+limited only by memory.
+
+The memo maps a fragment's exact bytes to its parsed tree, as parsing is a
+pure function of the bytes; it needs no store identity and sees every edit,
+since each call still fetches every fragment and looks up every name. It is
+a least-recently-used map holding at most 512 KiB of fragment bytes, shared
+by all threads. fragment adds each body it writes under the bytes it
+serialized, as parse(serialize(node)) == node; a document holding a
+subclass of Element or Text adds nothing. A parse that fails is not kept.
+So a defragmented document may share immutable subtrees with earlier
+results and with the document passed to fragment.
 
 References come in three modes:
 
@@ -28,6 +39,8 @@ children take precedence over the wildcard when matching.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -230,11 +243,15 @@ def fragment(
         raise ValueError("name mode requires a namer and a name prefix")
     if not isinstance(doc, Element):
         raise TypeError("document root must be an element")
+    node_types = {type(doc)}
     for element in iter_elements(doc):
         if element.name == XREF_NAME:
             raise ReservedElementError(
                 f"input documents must not contain <{XREF_NAME}> elements"
             )
+        node_types.update(map(type, element.children))
+    # a subclass need not survive the round trip, so only plain nodes go to the memo
+    plain = node_types <= {Element, Text}
     root_snode = schema.root
     if root_snode.element_name not in (WILDCARD, doc.name):
         raise SchemaMismatchError(
@@ -242,26 +259,33 @@ def fragment(
             f"<{root_snode.element_name}>"
         )
     store_id_hex = store.get_store_id().hex if mode == MODE_SELF else ""
+    # Every part of a body and an x-ref is already checked: names and
+    # attributes come from valid elements or are hex and Name text, and an
+    # x-ref takes the place of an element, so no two text nodes meet.
     for level in reversed(_split_levels(doc, root_snode, mode == MODE_NAME)):
         bodies = [
             piece.element if piece.body is None else
-            Element(piece.element.name, piece.element.attributes, tuple(piece.body))
+            _trusted(Element, name=piece.element.name, attributes=piece.element.attributes,
+                     children=tuple(piece.body))
             for piece in level
         ]
-        keys = store.put_many([xml_serialize(body) for body in bodies])
+        data = [xml_serialize(body) for body in bodies]
+        keys = store.put_many(data)
+        if plain:
+            for value, body in zip(data, bodies):
+                _memo.add(value, body)
         for piece, key in zip(level, keys):
             if mode == MODE_NAME:
                 name = Name(name_prefix + "/" + piece.path)
                 namer.bind(name, key)
-                ref = Element(XREF_NAME, (("mode", MODE_NAME), ("n", name.text)))
+                attributes = (("mode", MODE_NAME), ("n", name.text))
             elif mode == MODE_SELF:
-                ref = Element(
-                    XREF_NAME, (("mode", MODE_SELF), ("k", key.hex), ("store-id", store_id_hex))
-                )
+                attributes = (("mode", MODE_SELF), ("k", key.hex), ("store-id", store_id_hex))
             else:
-                ref = Element(XREF_NAME, (("mode", MODE_KEY), ("k", key.hex)))
+                attributes = (("mode", MODE_KEY), ("k", key.hex))
             if piece.parent is not None:
-                piece.parent.body[piece.slot] = ref
+                piece.parent.body[piece.slot] = _trusted(
+                    Element, name=XREF_NAME, attributes=attributes, children=())
     return name if mode == MODE_NAME else key
 
 
@@ -293,6 +317,57 @@ class _Fragment:
                 while holder is not None and holder[0] not in self.holders:
                     self.holders.add(holder[0])
                     holder = holder[1]
+
+
+class _Memo:
+    """Parsed fragments by their exact bytes, least recently used first.
+    An entry is a _Fragment, or the Element fragment wrote, made a _Fragment
+    on its first hit. The entries' keys add up to at most budget bytes."""
+
+    budget = 512 << 10
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.entries: OrderedDict[bytes, _Fragment | Element] = OrderedDict()
+        self.size = 0
+
+    def parse(self, data: bytes) -> _Fragment:
+        """The parsed fragment of data, from the memo or from xml_parse; an
+        error is raised afresh on every call."""
+        if type(data) is not bytes:  # unhashable, or not what a store returns
+            return _Fragment(xml_parse(data))
+        with self.lock:
+            entry = self.entries.get(data)
+            if entry is not None:
+                self.entries.move_to_end(data)
+        if isinstance(entry, _Fragment):
+            return entry
+        fragment = _Fragment(xml_parse(data) if entry is None else entry)
+        self.add(data, fragment)
+        return fragment
+
+    def add(self, data: bytes, entry: _Fragment | Element) -> None:
+        if len(data) > self.budget:
+            return
+        with self.lock:
+            if data in self.entries:
+                self.entries.move_to_end(data)
+            else:
+                self.size += len(data)
+            self.entries[data] = entry
+            evicted = []  # freed after the lock is released
+            while self.size > self.budget:
+                old, tree = self.entries.popitem(last=False)
+                self.size -= len(old)
+                evicted.append(tree)
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.size = 0
+
+
+_memo = _Memo()
 
 
 class _Defrag:
@@ -369,7 +444,7 @@ class _Defrag:
                     continue
                 for key, value in values.items():
                     try:
-                        fragment = _Fragment(xml_parse(value))
+                        fragment = _memo.parse(value)
                     except Exception:
                         continue
                     self.fragments[(sid, key.raw)] = fragment
@@ -380,15 +455,15 @@ class _Defrag:
                             continue
 
     def open(self, key: Key, store: Store, on_path: set) -> Element | tuple:
-        """Open a fragment for assembly: its cycle check, then the memo, or
-        a get and parse if the fetch left it out. A fragment without x-refs
+        """Open a fragment for assembly: its cycle check, then the call's
+        fragments, or a get and parse if the fetch left it out. A fragment without x-refs
         is returned whole; any other comes back as a new stack frame."""
         node_id = (store.get_store_id().raw, key.raw)
         if node_id in on_path:
             raise CycleDetectedError(f"fragment {key.hex} references itself")
         fragment = self.fragments.get(node_id)
         if fragment is None:
-            fragment = self.fragments[node_id] = _Fragment(xml_parse(store.get(key)))
+            fragment = self.fragments[node_id] = _memo.parse(store.get(key))
         root = fragment.root
         if id(root) not in fragment.holders:
             return root
@@ -460,9 +535,10 @@ def defragment(
     """Reassemble a fragmented document; the result has no x-ref elements.
 
     Fragments are fetched breadth-first, one get_many per store and level,
-    and each distinct fragment is fetched and parsed once per call; the
-    document is then assembled without recursion, so depth is limited
-    only by memory."""
+    and each distinct fragment is fetched once per call and parsed once
+    while its bytes stay in the memo; the document is then assembled
+    without recursion, so depth is limited only by memory. The result may
+    share immutable subtrees with earlier results."""
     if isinstance(root_ref, Name):
         key = _lookup_single(namer, root_ref)
     elif isinstance(root_ref, Key):

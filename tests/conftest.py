@@ -94,6 +94,17 @@ class HalfWriteFile:
         self._fh.close()
 
 
+@pytest.fixture(autouse=True)
+def empty_fragment_memo():
+    """Every test starts and ends with an empty memo of parsed fragments, so
+    none reads a tree that another test wrote or parsed."""
+    from xbase import xmlfrag
+
+    xmlfrag._memo.clear()
+    yield
+    xmlfrag._memo.clear()
+
+
 @pytest.fixture
 def tmp_home(tmp_path, monkeypatch):
     """Isolated data directory: XBASE_HOME plus an empty bootstrap registry,

@@ -1,6 +1,8 @@
 """Fragmentation: schema parsing, splitting documents, reassembly."""
 import hashlib
 import operator
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from xbase.core import InvalidRepresentationError, Key, Name, StoreID, UnknownKeyError
 from xbase.namer import MemoryNamer
 from xbase.netstore import ProxyStore
+from xbase import xmlfrag
 from xbase.stores import MemoryStore
-from xbase.xmldoc import Element, ParseError, Text, xml_parse, xml_serialize
+from xbase.xmldoc import Element, ParseError, Text, iter_elements, xml_parse, xml_serialize
 from xbase.xmlfrag import (
     AmbiguousNameError,
     CycleDetectedError,
@@ -381,6 +384,10 @@ def test_fragment_defragment_identity(doc, depth, mode):
         doc, fully_expanded_schema(depth), store, mode=mode, namer=namer, name_prefix="t"
     )
     assert defragment(ref, store, namer=namer) == doc
+    # fragment wrote its bodies through to the memo; without them, the
+    # stored bytes themselves must read back
+    xmlfrag._memo.clear()
+    assert defragment(ref, store, namer=namer) == doc
     # every fragment is itself a well-formed document
     for _, body in store.bindings():
         xml_parse(body)
@@ -526,9 +533,12 @@ class TestDefragmentErrorsAsBefore:
     depth-first resolution raises, at the first fault in document order."""
 
     def _raises(self, exc_type, message, root, store, **kwargs):
-        with pytest.raises(exc_type) as info:
-            defragment(root, store, **kwargs)
-        assert str(info.value) == message
+        """The fault raises alike with an empty memo and with the memo the
+        first call warmed."""
+        for _ in range(2):
+            with pytest.raises(exc_type) as info:
+                defragment(root, store, **kwargs)
+            assert str(info.value) == message
         return info.value
 
     def test_unknown_key(self):
@@ -615,6 +625,196 @@ class TestDefragmentErrorsAsBefore:
         self._raises(UnknownKeyError, missing.hex, root, store)
         root = store.put(f'<r><x-ref mode="warp"/>{_xref(mid)}</r>'.encode())
         self._raises(InvalidRepresentationError, "unknown x-ref mode 'warp'", root, store)
+
+
+# ---------------------------------------------------------------- the memo
+#
+# defragment keeps parsed fragments in a bounded memo keyed by their bytes,
+# and fragment writes its bodies through to it. A warm memo and an empty
+# one must read the same documents and raise the same errors.
+
+def _replaced(element, path, swaps):
+    """element with each subtree whose name path is in swaps replaced, the
+    outermost first; a reference, recursive reading of rebound names."""
+    if path in swaps:
+        return swaps[path]
+    out, ordinals = [], {}
+    for child in element.children:
+        if isinstance(child, Element):
+            ordinal = ordinals[child.name] = ordinals.get(child.name, 0) + 1
+            child = _replaced(child, f"{path}/{child.name}.{ordinal}", swaps)
+        out.append(child)
+    return Element(element.name, element.attributes, tuple(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=_small_docs(),
+    schema_root=st.booleans().flatmap(
+        lambda wild: _schema_node_st("*" if wild else "a", 0)),
+    mode=st.sampled_from(["key", "name", "self"]),
+    rebinds=st.lists(st.tuples(st.integers(0, 99), _small_docs(), st.booleans()), max_size=3),
+)
+def test_warm_and_cold_memo_read_alike(doc, schema_root, mode, rebinds):
+    if schema_root.element_name not in ("*", doc.name):
+        return
+    store = MemoryStore(policy="content-hash")
+    namer = MemoryNamer()
+    ref = fragment(doc, FragSchema(schema_root), store, mode=mode, namer=namer, name_prefix="t")
+
+    def read(expected):
+        canonical = xml_parse(xml_serialize(expected))
+        warm = defragment(ref, store, namer=namer)
+        xmlfrag._memo.clear()
+        cold = defragment(ref, store, namer=namer)
+        assert warm == expected == canonical
+        assert cold == expected == canonical
+
+    read(doc)
+    if mode != "name":
+        return
+    names = sorted(name.text for name, _ in namer.bindings())
+    swaps = {}
+    for pick, new, through in rebinds:
+        name = Name(names[pick % len(names)])
+        # a fragment written through the memo, or bytes it has never seen
+        key = fragment(new, fully_collapsed_schema(), store) if through else store.put(
+            xml_serialize(new))
+        for old in namer.lookup(name):
+            namer.unbind(name, old)
+        namer.bind(name, key)
+        swaps[name.text[len("t/"):]] = new
+        read(_replaced(doc, f"{doc.name}.1", swaps))
+
+
+class _CountingParse:
+    """Stands in for xmlfrag.xml_parse and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, data):
+        self.calls += 1
+        return xml_parse(data)
+
+
+class TestMemo:
+    def test_written_and_read_fragments_are_not_parsed_again(self, monkeypatch):
+        parse = _CountingParse()
+        monkeypatch.setattr(xmlfrag, "xml_parse", parse)
+        store = MemoryStore(policy="sequence")
+        key = fragment(LIBRARY, LIBRARY_SCHEMA, store)
+        assert defragment(key, store) == LIBRARY
+        assert parse.calls == 0  # all three bodies were written through
+        xmlfrag._memo.clear()
+        assert defragment(key, store) == LIBRARY
+        assert parse.calls == 3
+        assert defragment(key, store) == LIBRARY
+        assert parse.calls == 3
+
+    def test_unparsable_fragment_is_not_kept(self):
+        store = MemoryStore(policy="random")
+        bad = b"<a><b></a>"
+        root = store.put(f"<r>{_xref(store.put(bad))}</r>".encode())
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                defragment(root, store)
+            assert str(info.value) == "offset 6: mismatched tag: expected </b>, got </a>"
+            assert bad not in xmlfrag._memo.entries
+        assert list(xmlfrag._memo.entries) == [store.get(root)]
+
+    def test_bytes_stay_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(xmlfrag._memo, "budget", 200)
+        store = MemoryStore(policy="sequence")
+        doc = xml_parse(b"<r>" + b"".join(b"<b><t>%03d</t></b>" % i for i in range(40)) + b"</r>")
+        key = fragment(doc, FragSchema.from_xml(b"<r><b/></r>"), store)
+        assert sum(len(value) for _, value in store.bindings()) > 4 * 200
+        memo = xmlfrag._memo
+        assert 0 < memo.size <= 200
+        assert memo.size == sum(map(len, memo.entries))
+        assert defragment(key, store) == doc
+        assert 0 < memo.size <= 200
+        assert memo.size == sum(map(len, memo.entries))
+
+    def test_a_fragment_over_the_budget_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(xmlfrag._memo, "budget", 64)
+        store = MemoryStore(policy="sequence")
+        doc = Element("r", (), (Text("x" * 100),))
+        key = fragment(doc, fully_collapsed_schema(), store)
+        assert not xmlfrag._memo.entries
+        assert defragment(key, store) == doc
+        assert not xmlfrag._memo.entries and xmlfrag._memo.size == 0
+
+    def test_a_hit_is_used_most_recently(self, monkeypatch):
+        monkeypatch.setattr(xmlfrag._memo, "budget", 16)
+        memo = xmlfrag._memo
+        for data in (b"<a>1</a>", b"<b>1</b>"):
+            memo.parse(data)
+        memo.parse(b"<a>1</a>")
+        memo.parse(b"<c>1</c>")  # evicts the least recently used: <b>
+        assert list(memo.entries) == [b"<a>1</a>", b"<c>1</c>"] and memo.size == 16
+
+    def test_subclassed_nodes_read_back_as_plain_ones(self):
+        class MyElement(Element):
+            pass
+
+        class MyText(Text):
+            pass
+
+        store = MemoryStore(policy="sequence")
+        for doc in (
+            Element("library", (), (MyElement("book", (("n", "1"),), (Text("x"),)),)),
+            Element("library", (), (Element("book", (), (MyText("x"),)),)),
+            MyElement("library", (), (Element("book"),)),
+        ):
+            key = fragment(doc, LIBRARY_SCHEMA, store)
+            assert not xmlfrag._memo.entries
+            out = defragment(key, store)
+            assert out == xml_parse(xml_serialize(doc))
+            for element in iter_elements(out):
+                assert type(element) is Element
+                assert all(type(c) in (Element, Text) for c in element.children)
+            xmlfrag._memo.clear()
+
+
+def test_threads_share_the_memo(monkeypatch):
+    """Four threads fragment and defragment shared and distinct documents
+    through one store while a small budget keeps the memo evicting."""
+    monkeypatch.setattr(xmlfrag._memo, "budget", 300)
+    store = MemoryStore(policy="content-hash")
+    namer = MemoryNamer()
+    shared = [xml_parse(b"<library><book><t>shared %d</t></book><book>x</book></library>" % i)
+              for i in range(3)]
+    errors = []
+
+    def work(n):
+        try:
+            own = xml_parse(b"<library>" + b"<book><t>%d/%d</t></book>" * 4 % (
+                n, 0, n, 1, n, 2, n, 3) + b"</library>")
+            for i in range(40):
+                doc = own if i % 2 else shared[i % 3]
+                mode = ("key", "name", "self")[i % 3]
+                ref = fragment(doc, LIBRARY_SCHEMA, store, mode=mode, namer=namer,
+                               name_prefix=f"t{n}/{i}")
+                if defragment(ref, store, namer=namer) != doc:
+                    errors.append(f"thread {n} round {i}: wrong document")
+        except Exception as exc:  # reported by the main thread
+            errors.append(f"thread {n}: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    memo = xmlfrag._memo
+    assert memo.size == sum(map(len, memo.entries)) <= 300
 
 
 def _without_recursion(fn, *args, **kwargs):
