@@ -456,8 +456,9 @@ class _Defrag:
 
     def open(self, key: Key, store: Store, on_path: set) -> Element | tuple:
         """Open a fragment for assembly: its cycle check, then the call's
-        fragments, or a get and parse if the fetch left it out. A fragment without x-refs
-        is returned whole; any other comes back as a new stack frame."""
+        fragments, or a get and parse if the fetch left it out. A fragment
+        without x-refs is returned whole; any other comes back as a new
+        stack frame."""
         node_id = (store.get_store_id().raw, key.raw)
         if node_id in on_path:
             raise CycleDetectedError(f"fragment {key.hex} references itself")

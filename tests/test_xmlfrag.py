@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbase import xmlfrag
 from xbase.core import InvalidRepresentationError, Key, Name, StoreID, UnknownKeyError
 from xbase.namer import MemoryNamer
 from xbase.netstore import ProxyStore
-from xbase import xmlfrag
 from xbase.stores import MemoryStore
 from xbase.xmldoc import Element, ParseError, Text, iter_elements, xml_parse, xml_serialize
 from xbase.xmlfrag import (
