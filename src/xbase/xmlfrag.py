@@ -15,12 +15,16 @@ limited only by memory.
 The memo maps a fragment's exact bytes to its parsed tree, as parsing is a
 pure function of the bytes; it needs no store identity and sees every edit,
 since each call still fetches every fragment and looks up every name. It is
-a least-recently-used map holding at most 512 KiB of fragment bytes, shared
-by all threads. fragment adds each body it writes under the bytes it
-serialized, as parse(serialize(node)) == node; a document holding a
-subclass of Element or Text adds nothing. A parse that fails is not kept.
-So a defragmented document may share immutable subtrees with earlier
-results and with the document passed to fragment.
+a least-recently-used map shared by all threads, holding at most 512 KiB
+of fragment bytes and 16 384 parsed parts (elements, attributes and text
+nodes), so it holds a few MB of trees at most. fragment adds each body it
+writes under the bytes it serialized, as parse(serialize(node)) == node; a
+document holding a subclass of Element or Text adds nothing. A parse that
+fails is not kept. So a defragmented document may share immutable
+subtrees with earlier results and with the document passed to fragment.
+The memo saves a parse only when the same process wrote or read the same
+bytes a short while before; a reader in another process, such as xbase
+defrag after xbase frag, parses every fragment.
 
 References come in three modes:
 
@@ -273,7 +277,7 @@ def fragment(
         keys = store.put_many(data)
         if plain:
             for value, body in zip(data, bodies):
-                _memo.add(value, body)
+                _memo.add(value, body, _parts(body))
         for piece, key in zip(level, keys):
             if mode == MODE_NAME:
                 name = Name(name_prefix + "/" + piece.path)
@@ -319,17 +323,38 @@ class _Fragment:
                     holder = holder[1]
 
 
+def _parts(root: Element) -> int:
+    """The elements, attributes and text nodes of a tree."""
+    parts, pending = 0, [root]
+    while pending:
+        element = pending.pop()
+        parts += 1 + len(element.attributes)
+        for child in element.children:
+            if isinstance(child, Element):
+                pending.append(child)
+            else:
+                parts += 1
+    return parts
+
+
 class _Memo:
-    """Parsed fragments by their exact bytes, least recently used first.
-    An entry is a _Fragment, or the Element fragment wrote, made a _Fragment
-    on its first hit. The entries' keys add up to at most budget bytes."""
+    """Parsed fragments by their exact bytes, least recently used first,
+    each with its number of parts. An entry is a _Fragment, or the Element
+    fragment wrote, made a _Fragment on its first hit: building it in the
+    write made documents writes slower (paired runs in BENCH_15.json).
+    The entries' keys add up to at most budget bytes, and their trees to at
+    most part_budget parts. A part takes 100 to 300 bytes once parsed, so
+    the bytes alone would let a fragment dense in elements or attributes
+    hold over 60 times its size."""
 
     budget = 512 << 10
+    part_budget = 16 << 10
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.entries: OrderedDict[bytes, _Fragment | Element] = OrderedDict()
+        self.entries: OrderedDict[bytes, tuple[_Fragment | Element, int]] = OrderedDict()
         self.size = 0
+        self.parts = 0
 
     def parse(self, data: bytes) -> _Fragment:
         """The parsed fragment of data, from the memo or from xml_parse; an
@@ -340,31 +365,39 @@ class _Memo:
             entry = self.entries.get(data)
             if entry is not None:
                 self.entries.move_to_end(data)
-        if isinstance(entry, _Fragment):
-            return entry
-        fragment = _Fragment(xml_parse(data) if entry is None else entry)
-        self.add(data, fragment)
+        if entry is None:
+            fragment = _Fragment(xml_parse(data))
+            self.add(data, fragment, _parts(fragment.root))
+            return fragment
+        tree, parts = entry
+        if isinstance(tree, _Fragment):
+            return tree
+        fragment = _Fragment(tree)
+        self.add(data, fragment, parts)
         return fragment
 
-    def add(self, data: bytes, entry: _Fragment | Element) -> None:
-        if len(data) > self.budget:
+    def add(self, data: bytes, tree: _Fragment | Element, parts: int) -> None:
+        if len(data) > self.budget or parts > self.part_budget:
             return
         with self.lock:
-            if data in self.entries:
+            if data in self.entries:  # the same bytes: the same tree and parts
                 self.entries.move_to_end(data)
             else:
                 self.size += len(data)
-            self.entries[data] = entry
+                self.parts += parts
+            self.entries[data] = (tree, parts)
             evicted = []  # freed after the lock is released
-            while self.size > self.budget:
-                old, tree = self.entries.popitem(last=False)
+            while self.size > self.budget or self.parts > self.part_budget:
+                old, entry = self.entries.popitem(last=False)
                 self.size -= len(old)
-                evicted.append(tree)
+                self.parts -= entry[1]
+                evicted.append(entry)
 
     def clear(self) -> None:
         with self.lock:
             self.entries.clear()
             self.size = 0
+            self.parts = 0
 
 
 _memo = _Memo()

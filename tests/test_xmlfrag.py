@@ -739,11 +739,59 @@ class TestMemo:
     def test_a_fragment_over_the_budget_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(xmlfrag._memo, "budget", 64)
         store = MemoryStore(policy="sequence")
+        small = store.put(b"<s/>")
+        assert defragment(small, store) == Element("s")
         doc = Element("r", (), (Text("x" * 100),))
         key = fragment(doc, fully_collapsed_schema(), store)
-        assert not xmlfrag._memo.entries
         assert defragment(key, store) == doc
-        assert not xmlfrag._memo.entries and xmlfrag._memo.size == 0
+        # not kept, and evicts nothing to make room
+        assert list(xmlfrag._memo.entries) == [b"<s/>"] and xmlfrag._memo.size == 4
+
+    def test_parts_stay_within_their_budget(self, monkeypatch):
+        monkeypatch.setattr(xmlfrag._memo, "part_budget", 300)
+        store = MemoryStore(policy="sequence")
+        # 4 bytes per element: well within the byte budget, far over the parts
+        doc = xml_parse(b"<r>" + b"".join(b"<c n='%d'>" % i + b"<b/>" * 60 + b"</c>"
+                                          for i in range(20)) + b"</r>")
+        key = fragment(doc, FragSchema.from_xml(b"<r><c/></r>"), store)
+        memo = xmlfrag._memo
+
+        def check():
+            assert memo.size < memo.budget
+            assert 0 < memo.parts <= 300
+            assert memo.parts == sum(parts for _, parts in memo.entries.values())
+            for data, (tree, parts) in memo.entries.items():
+                root = tree.root if isinstance(tree, xmlfrag._Fragment) else tree
+                assert root == xml_parse(data) and parts == xmlfrag._parts(root)
+
+        check()  # the Elements fragment wrote
+        assert defragment(key, store) == doc
+        check()  # now parsed, or made _Fragments on their first hit
+
+    def test_a_fragment_over_the_part_budget_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(xmlfrag._memo, "part_budget", 50)
+        store = MemoryStore(policy="sequence")
+        small = store.put(b"<s/>")
+        assert defragment(small, store) == Element("s")
+        doc = Element("r", (), tuple(Element("b") for _ in range(50)))
+        key = fragment(doc, fully_collapsed_schema(), store)
+        assert defragment(key, store) == doc
+        # not kept, and evicts nothing to make room
+        assert list(xmlfrag._memo.entries) == [b"<s/>"] and xmlfrag._memo.parts == 1
+
+    def test_parts_count_every_element_attribute_and_text(self):
+        def reference(node):
+            if isinstance(node, Text):
+                return 1
+            return 1 + len(node.attributes) + sum(map(reference, node.children))
+
+        for data in (
+            b"<a/>",
+            b"<a x='1' y='2'>t<b>u<c/>v</b>w</a>",
+            b"<r><x-ref mode='key' k='01'/><k><x-ref mode='key' k='02'/></k></r>",
+        ):
+            root = xml_parse(data)
+            assert xmlfrag._parts(root) == reference(root)
 
     def test_a_hit_is_used_most_recently(self, monkeypatch):
         monkeypatch.setattr(xmlfrag._memo, "budget", 16)
@@ -779,8 +827,9 @@ class TestMemo:
 
 def test_threads_share_the_memo(monkeypatch):
     """Four threads fragment and defragment shared and distinct documents
-    through one store while a small budget keeps the memo evicting."""
+    through one store while small budgets keep the memo evicting."""
     monkeypatch.setattr(xmlfrag._memo, "budget", 300)
+    monkeypatch.setattr(xmlfrag._memo, "part_budget", 40)
     store = MemoryStore(policy="content-hash")
     namer = MemoryNamer()
     shared = [xml_parse(b"<library><book><t>shared %d</t></book><book>x</book></library>" % i)
@@ -815,6 +864,7 @@ def test_threads_share_the_memo(monkeypatch):
     assert errors == []
     memo = xmlfrag._memo
     assert memo.size == sum(map(len, memo.entries)) <= 300
+    assert memo.parts == sum(parts for _, parts in memo.entries.values()) <= 40
 
 
 def _without_recursion(fn, *args, **kwargs):
