@@ -10,10 +10,19 @@ by an opcode-specific payload using u32 big-endian length prefixes:
     0xFF ERR           [code][msg_len][UTF-8 message]
 
 ERR codes: 0x01 UnknownKey, 0x02 KeyConflict, 0x03 KeyMismatch,
-0x04 Malformed, 0x05 Internal. One request yields exactly one response;
-the server's handler, a stdlib StreamRequestHandler, answers the requests
-on a connection in order, and both ends set TCP_NODELAY. Declared lengths
-above 64 MiB are rejected before any allocation.
+0x04 Malformed, 0x05 Internal. One request yields exactly one response,
+in order, and both ends set TCP_NODELAY. Declared lengths above 64 MiB
+are rejected before any allocation.
+
+Both ends decode frames in place from one receive buffer per connection,
+filled by recv_into (_Receiver); a frame longer than the buffer gets one
+of its own length until it is decoded. read_message and decode_message
+wrap the same decoder. The server's handler serves a burst, every request
+its buffer holds whole, in order, then sends the responses together: one
+sendall per burst, an earlier one whenever 16 KiB of responses have built
+up, and a response of 16 KiB or more on its own. A PUT is written to the
+store before its response is encoded, so every PUT a send answers has
+been written (for a log, handed to the OS) before the send.
 
 RemoteStore pipelines: get_many and put_many send a window of requests
 (at most 128 of them and 32 KiB of request bytes, so they fit the socket
@@ -38,7 +47,6 @@ by the put policy.
 """
 from __future__ import annotations
 
-import io
 import socket
 import socketserver
 import struct
@@ -186,6 +194,10 @@ _BY_TYPE = {
 }
 
 
+_U32 = struct.Struct(">I")
+_HEAD = struct.Struct(">4sB")  # magic, opcode
+
+
 def encode_message(msg: WireMessage) -> bytes:
     try:
         header, fields, _ = _BY_TYPE[type(msg)]
@@ -204,37 +216,27 @@ def encode_message(msg: WireMessage) -> bytes:
         else:
             if kind == "text":
                 value = value.encode("utf-8")
-            value = struct.pack(">I", len(value)) + value
+            parts.append(_U32.pack(len(value)))
         parts.append(value)
-    return b"".join(parts)
+    return b"".join(parts)  # the one copy of a value
 
 
-def read_message(read: Callable[[int], bytes], allow_eof: bool = False) -> WireMessage | None:
-    """Read exactly one message from a blocking byte source.
+def _decode(view: memoryview, pos: int, end: int) -> tuple[WireMessage | None, int]:
+    """Decode the message that starts at view[pos], from the bytes before end.
 
-    read(n) must return up to n bytes, empty only at end of stream. With
-    allow_eof, a stream that ends cleanly between messages yields None.
+    Returns the message and where the next one starts, or None and how far
+    the bytes must reach before decoding can go on. Raises
+    MalformedMessageError as soon as the bytes present show a fault, so a
+    declared length over MAX_WIRE_LEN is rejected before its body arrives.
     """
-
-    def need(n: int, what: str) -> bytes:
-        chunks = []
-        while n:
-            chunk = read(n)
-            if not chunk:
-                raise TruncatedStreamError(f"stream ended inside {what}")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
-
-    first = read(1)
-    if not first:
-        if allow_eof:
-            return None
-        raise TruncatedStreamError("stream ended before a message")
-    magic = first + need(3, "magic")
+    at = pos + 5
+    if end < at:
+        if end - pos == 4 and view[pos:end] != WIRE_MAGIC:
+            raise MalformedMessageError(f"bad magic {view[pos:end].tobytes()!r}")
+        return None, at
+    magic, opcode = _HEAD.unpack_from(view, pos)
     if magic != WIRE_MAGIC:
         raise MalformedMessageError(f"bad magic {magic!r}")
-    opcode = need(1, "opcode")[0]
     try:
         cls, fields, _ = _WIRE[opcode]
     except KeyError:
@@ -242,27 +244,131 @@ def read_message(read: Callable[[int], bytes], allow_eof: bool = False) -> WireM
     values = []
     for name, kind in fields:
         if kind == "code":
-            value = need(1, "error code")[0]
+            if end <= at:
+                return None, at + 1
+            values.append(view[at])
+            at += 1
         elif kind == "id":
-            value = need(16, "store id")
+            if end < at + 16:
+                return None, at + 16
+            values.append(view[at:at + 16].tobytes())
+            at += 16
         else:
-            (n,) = struct.unpack(">I", need(4, name + " length"))
+            if end < at + 4:
+                return None, at + 4
+            (n,) = _U32.unpack_from(view, at)
             if n > MAX_WIRE_LEN:
                 raise MalformedMessageError(f"{name} length {n} exceeds {MAX_WIRE_LEN}")
-            value = need(n, name)
+            at += 4 + n
+            if end < at:
+                return None, at
             if kind == "text":
                 try:
-                    value = value.decode("utf-8")
+                    values.append(str(view[at - n:at], "utf-8"))
                 except UnicodeDecodeError:
                     raise MalformedMessageError("error message is not UTF-8") from None
-        values.append(value)
-    return cls(*values)
+            else:
+                values.append(view[at - n:at].tobytes())
+    return cls(*values), at
+
+
+def _ended(inside: bool) -> TruncatedStreamError:
+    return TruncatedStreamError(
+        "stream ended inside a message" if inside else "stream ended before a message")
+
+
+def read_message(read: Callable[[int], bytes], allow_eof: bool = False) -> WireMessage | None:
+    """Read exactly one message from a blocking byte source.
+
+    read(n) must return up to n bytes, empty only at end of stream; no more
+    bytes are asked for than the message holds. With allow_eof, a stream
+    that ends cleanly between messages yields None.
+    """
+    data = bytearray()
+    while True:
+        with memoryview(data) as view:
+            msg, at = _decode(view, 0, len(data))
+        if msg is not None:
+            return msg
+        chunk = read(at - len(data))
+        if not chunk:
+            if not data and allow_eof:
+                return None
+            raise _ended(bool(data))
+        data += chunk
 
 
 def decode_message(data: bytes) -> tuple[WireMessage, int]:
     """Decode one message from the front of data; returns (message, bytes consumed)."""
-    stream = io.BytesIO(data)
-    return read_message(stream.read), stream.tell()
+    with memoryview(data) as view:
+        msg, at = _decode(view, 0, len(view))
+    if msg is None:
+        raise _ended(bool(data))
+    return msg, at
+
+
+# The receive buffer of each connection end. A frame longer than this gets
+# a buffer of its own length, dropped as soon as the frame is decoded.
+_RECV_BYTES = 64 << 10
+
+
+class _Receiver:
+    """The messages of a byte stream, decoded from one receive buffer.
+
+    recv_into(view) is socket.recv_into: it fills a prefix of view and
+    returns its length, 0 at end of stream. A receive takes whatever the
+    stream holds, up to the buffer's room, so one receive can bring a whole
+    burst of messages.
+    """
+
+    __slots__ = ("_recv_into", "_view", "_pos", "_end", "_need")
+
+    def __init__(self, recv_into: Callable[[memoryview], int]):
+        self._recv_into = recv_into
+        self._view = memoryview(bytearray(_RECV_BYTES))
+        self._pos = self._end = 0  # the bytes not yet decoded are _view[_pos:_end]
+        self._need = 0  # how many of them the message begun needs before it decodes
+
+    def next(self) -> WireMessage | None:
+        """The next message if the buffer holds all of it, else None."""
+        msg, at = _decode(self._view, self._pos, self._end)
+        if msg is None:
+            self._need = at - self._pos
+            return None
+        self._pos = at
+        if len(self._view) > _RECV_BYTES:
+            # a buffer grown for one frame ends where the frame ends, so
+            # nothing is left in it
+            self._view = memoryview(bytearray(_RECV_BYTES))
+            self._pos = self._end = 0
+        return msg
+
+    def receive(self) -> bool:
+        """Receive more bytes, first moving those not yet decoded to the
+        front of the buffer, or of a buffer as long as the message begun
+        needs. False when the stream ends between messages; raises
+        TruncatedStreamError when it ends inside one."""
+        view, pos, end = self._view, self._pos, self._end
+        unread = end - pos
+        if self._need > len(view):
+            grown = memoryview(bytearray(self._need))
+            grown[:unread] = view[pos:end]
+            view = self._view = grown
+        elif pos:
+            view[:unread] = view[pos:end]
+        self._pos, self._end = 0, unread
+        n = self._recv_into(view[unread:])
+        if not n and unread:
+            raise _ended(True)
+        self._end += n
+        return n > 0
+
+    def read(self) -> WireMessage:
+        """The next message, received in full."""
+        while (msg := self.next()) is None:
+            if not self.receive():
+                raise _ended(False)
+        return msg
 
 
 # (ERR code, exception), matched in this order by the server; the client raises
@@ -299,28 +405,61 @@ def parse_address(address: str) -> tuple[str, int]:
         raise ValueError(f"bad port in {address!r}") from None
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # one response per request: Nagle would hold back the second of a burst
-    disable_nagle_algorithm = True
+# Once this many bytes of responses have built up, they go out before the
+# rest of their burst is served, so the client can start decoding while
+# the server works; a response this long goes out alone, not copied into
+# a joined send.
+_SEND_BYTES = 16 << 10
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """Serves a connection's requests in order, a burst at a time: every
+    request the receive buffer holds whole is served, then their responses
+    go out together. A response of _SEND_BYTES or more goes out alone."""
 
     def handle(self):
         store: Store = self.server.store  # type: ignore[attr-defined]
+        # a send per burst: Nagle would hold back the next burst's
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        frames = _Receiver(self.request.recv_into)
+        self._out: list[bytes] = []  # responses not yet sent
+        self._size = 0  # their bytes
         try:
             while True:
                 try:
-                    msg = read_message(self.rfile.read, allow_eof=True)
+                    msg = frames.next()
+                    if msg is None:  # the burst is served
+                        self._flush()
+                        if frames.receive():
+                            continue
+                        return
                 except MalformedMessageError as exc:
-                    self.wfile.write(encode_message(_error_response(exc)))
+                    self._queue(encode_message(_error_response(exc)))
+                    self._flush()
                     return  # framing is lost, drop the connection
-                if msg is None:
-                    return
                 try:
                     response = self._dispatch(store, msg)
                 except Exception as exc:  # never kill the server on a request
                     response = _error_response(exc)
-                self.wfile.write(encode_message(response))
-        except (OSError, ValueError):
+                self._queue(encode_message(response))
+        except OSError:
             return  # client went away mid-write
+
+    def _queue(self, frame: bytes) -> None:
+        if len(frame) >= _SEND_BYTES:
+            self._flush()
+            self.request.sendall(frame)
+            return
+        self._out.append(frame)
+        self._size += len(frame)
+        if self._size >= _SEND_BYTES:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._out:
+            out = self._out
+            self.request.sendall(out[0] if len(out) == 1 else b"".join(out))
+            self._out, self._size = [], 0
 
     @staticmethod
     def _dispatch(store: Store, msg: WireMessage) -> WireMessage:
@@ -434,7 +573,7 @@ class RemoteStore(Store):
         self._timeout = timeout
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
-        self._rfile = None
+        self._frames: _Receiver | None = None
         self._store_id: StoreID | None = None
 
     @property
@@ -447,16 +586,15 @@ class RemoteStore(Store):
         except OSError as exc:
             raise UnreachableError(f"{self._address[0]}:{self._address[1]}: {exc}") from None
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
+        self._frames = _Receiver(self._sock.recv_into)
 
     def _drop(self) -> None:
-        for f in (self._rfile, self._sock):
-            if f is not None:
-                try:
-                    f.close()
-                except OSError:
-                    pass
-        self._sock = self._rfile = None
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+        self._sock = self._frames = None
 
     def _exchange(self, requests: Iterable[WireMessage], expected: type,
                   missing_ok: bool = False) -> list[WireMessage | None]:
@@ -495,8 +633,8 @@ class RemoteStore(Store):
                 self._connect()
             try:
                 self._sock.sendall(b"".join(frames[len(responses):]))
-                for _ in range(len(frames) - len(responses)):
-                    responses.append(read_message(self._rfile.read))
+                while len(responses) < len(frames):
+                    responses.append(self._frames.read())
                 break
             except (OSError, TruncatedStreamError) as exc:
                 self._drop()

@@ -32,7 +32,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import (
     MAX_KEY_LEN,
@@ -233,6 +233,21 @@ class LocalStore(Store):
             if locator is None:
                 raise UnknownKeyError(key.hex)
         return self._read(key.raw, locator)
+
+    def get_many(self, keys: Iterable[Key]) -> dict[Key, BitString]:
+        """Store.get_many under one lock, raising nothing for an unbound key:
+        the keys are located in order, and the first that get would raise
+        for (a key of the wrong type, or any key of a closed store) raises
+        the same. Values are read outside the lock, as get reads them."""
+        located = []
+        with self._lock:
+            for key in dict.fromkeys(keys):
+                check_key(key)
+                self._check_open()
+                locator = self._locate(key.raw)
+                if locator is not None:
+                    located.append((key, locator))
+        return {key: self._read(key.raw, locator) for key, locator in located}
 
     def put_with_key(self, value: BitString, key: Key) -> None:
         check_value(value)

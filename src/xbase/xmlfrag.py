@@ -405,7 +405,8 @@ _memo = _Memo()
 
 class _Defrag:
     """One defragment call: resolves references, memoizes names, resolved
-    stores and parsed fragments, and assembles the document."""
+    stores, resolved x-refs and parsed fragments, and assembles the
+    document."""
 
     def __init__(self, namer: Namer | None, store_resolver: StoreResolver | None):
         self.namer = namer
@@ -413,6 +414,10 @@ class _Defrag:
         self.names: dict[str, Key] = {}
         self.stores: dict[bytes, Store] = {}
         self.fragments: dict[tuple[bytes, bytes], _Fragment] = {}
+        # (id of an x-ref, id of the store its fragment was read from) ->
+        # (what it resolved to, the x-ref, the store); the memo may share one
+        # x-ref between stores. Holding both keeps their ids theirs.
+        self.refs: dict[tuple[int, int], tuple[tuple[Key, Store], Element, Store]] = {}
 
     def lookup(self, name: Name) -> Key:
         key = self.names.get(name.text)
@@ -433,6 +438,15 @@ class _Defrag:
         return store
 
     def resolve_ref(self, xref: Element, store: Store) -> tuple[Key, Store]:
+        """The key and store that xref, in a fragment read from store, refers
+        to. Only a success is kept, so a failure raises again in assembly."""
+        ref = (id(xref), id(store))
+        kept = self.refs.get(ref)
+        if kept is None:
+            kept = self.refs[ref] = (self._resolve_ref(xref, store), xref, store)
+        return kept[0]
+
+    def _resolve_ref(self, xref: Element, store: Store) -> tuple[Key, Store]:
         if xref.children:
             raise InvalidRepresentationError("x-ref elements must be empty")
         mode = xref.attr("mode")

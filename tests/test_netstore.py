@@ -5,6 +5,8 @@ import socket
 import socketserver
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ from xbase.netstore import (
     serve,
 )
 from conftest import check_batches_match_loops
-from xbase import cli
+from xbase import cli, netstore
 from xbase.stores import MemoryStore, get_root_store
 
 
@@ -202,6 +204,116 @@ class TestCodec:
             return
         assert consumed <= len(blob)
         assert encode_message(msg) == blob[:consumed]
+
+
+_ANY_MESSAGE = st.one_of(
+    st.binary(max_size=40).map(PutRequest),
+    st.binary(max_size=40).map(GetRequest),
+    st.just(StoreIdRequest()),
+    st.builds(PutWithKeyRequest, st.binary(max_size=20), st.binary(max_size=40)),
+    st.binary(max_size=40).map(KeyResponse),
+    st.binary(max_size=40).map(DataResponse),
+    # values longer than any receive buffer below
+    st.integers(60_000, 140_000).map(lambda n: DataResponse(bytes([n % 251]) * n)),
+    st.binary(min_size=16, max_size=16).map(IdResponse),
+    st.builds(ErrResponse, st.integers(0, 255), st.text(max_size=20)),
+)
+
+
+def _decode_whole(blob: bytes):
+    """decode_message over the whole stream: its messages, then the class
+    of the error that ended it (None at a clean end)."""
+    messages = []
+    while blob:
+        try:
+            msg, used = decode_message(blob)
+        except MalformedMessageError as exc:
+            return messages, type(exc)
+        messages.append(msg)
+        blob = blob[used:]
+    return messages, None
+
+
+def _take(chunks: list[bytes], view) -> int:
+    """recv_into over chunks: the first chunk, or the part of it that fits."""
+    if not chunks:
+        return 0
+    chunk = chunks.pop(0)
+    n = min(len(chunk), len(view))
+    view[:n] = chunk[:n]
+    if n < len(chunk):
+        chunks.insert(0, chunk[n:])
+    return n
+
+
+def _decode_chunks(chunks: list[bytes]):
+    """The same through a _Receiver whose receives return chunks in turn,
+    each cut to the room the buffer offers."""
+    pending = list(chunks)
+    frames = netstore._Receiver(lambda view: _take(pending, view))
+    messages = []
+    try:
+        while True:
+            msg = frames.next()
+            if msg is not None:
+                messages.append(msg)
+            elif not frames.receive():
+                return messages, None
+    except MalformedMessageError as exc:
+        return messages, type(exc)
+
+
+class TestBurstDecoder:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_cut_decodes_as_the_whole(self, data):
+        """Encoded streams, possibly cut short or followed by junk, and raw
+        bytes, received in arbitrary chunks through buffers of several
+        sizes: the same messages, or the same error class, as decode_message
+        gives on the whole stream."""
+        if data.draw(st.booleans()):
+            blob = b"".join(map(encode_message, data.draw(st.lists(_ANY_MESSAGE, max_size=8))))
+            blob = blob[:data.draw(st.integers(0, len(blob)))] if data.draw(st.booleans()) \
+                else blob + data.draw(st.binary(max_size=12))
+        else:
+            blob = data.draw(st.binary(max_size=64))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=12)))
+        chunks = [blob[a:b] for a, b in zip([0, *cuts], [*cuts, len(blob)]) if b > a]
+        size = data.draw(st.sampled_from([5, 16, 64, 1 << 16]))
+        with mock.patch.object(netstore, "_RECV_BYTES", size):
+            assert _decode_chunks(chunks) == _decode_whole(blob)
+
+    def test_large_frame_buffer_is_given_up(self):
+        """A frame longer than the buffer gets a buffer of its own length,
+        and the connection is back to the usual buffer once it is decoded."""
+        big = encode_message(DataResponse(b"x" * 200_000))
+        small = encode_message(GetRequest(b"k"))
+        chunks = [small + big[:1000], big[1000:], small]
+        frames = netstore._Receiver(lambda view: _take(chunks, view))
+        seen = []
+        while len(seen) < 3:
+            msg = frames.next()
+            if msg is None:
+                assert frames.receive()
+                continue
+            seen.append(msg)
+            assert len(frames._view) == netstore._RECV_BYTES
+        assert seen == [GetRequest(b"k"), DataResponse(b"x" * 200_000), GetRequest(b"k")]
+
+    def test_oversize_length_rejected_before_its_body(self):
+        received = []
+
+        def recv_into(view):
+            received.append(len(view))
+            frame = b"XBS1" + bytes([0x02]) + (MAX_WIRE_LEN + 1).to_bytes(4, "big")
+            view[:len(frame)] = frame
+            return len(frame)
+
+        frames = netstore._Receiver(recv_into)
+        assert frames.next() is None and frames.receive()
+        with pytest.raises(MalformedMessageError, match="exceeds"):
+            frames.next()
+        assert received == [netstore._RECV_BYTES]
 
 
 def test_parse_address():
@@ -782,6 +894,83 @@ def scripted():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+class _SendLog:
+    """A served connection's socket that logs the length of each sendall."""
+
+    def __init__(self, sock: socket.socket, sent: list[int]):
+        self._sock, self._sent = sock, sent
+
+    def sendall(self, data) -> None:
+        self._sent.append(len(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture
+def send_log(monkeypatch):
+    """The lengths of the sendall calls of every connection served during
+    the test, in order."""
+    sent: list[int] = []
+    finish = netstore._Server.finish_request
+    monkeypatch.setattr(netstore._Server, "finish_request",
+                        lambda self, request, address: finish(self, _SendLog(request, sent), address))
+    return sent
+
+
+class TestBursts:
+    def test_pipelined_gets_share_sends(self, loopback, send_log):
+        store, server = loopback
+        values = [b"value %d" % i for i in range(128)]
+        keys = [store.put(value) for value in values]
+        with RemoteStore(server.address, timeout=5) as remote:
+            assert remote.get_many(keys) == dict(zip(keys, values))
+        assert sum(send_log) == sum(len(encode_message(DataResponse(v))) for v in values)
+        assert len(send_log) <= 8
+
+    def test_malformed_frame_mid_burst(self, loopback):
+        """The requests before the bad frame are answered in order, then the
+        error; the request after it is not."""
+        store, server = loopback
+        a, b = store.put(b"a"), store.put(b"b")
+        unknown = b"\x77" * 8
+        burst = b"".join(encode_message(GetRequest(k)) for k in (a.raw, unknown, b.raw))
+        burst += b"JUNK" + bytes(5) + encode_message(GetRequest(a.raw))
+        messages, error = _decode_whole(_raw_exchange(server.address, burst))
+        assert error is None
+        assert messages[:3] == [DataResponse(b"a"), ErrResponse(0x01, unknown.hex()),
+                                DataResponse(b"b")]
+        assert len(messages) == 4 and messages[3].code == 0x04
+        assert "bad magic" in messages[3].message
+
+    def test_stream_ending_inside_a_frame(self, loopback):
+        store, server = loopback
+        key = store.put(b"v")
+        frame = encode_message(GetRequest(key.raw))
+        messages, error = _decode_whole(_raw_exchange(server.address, frame + frame[:7]))
+        assert error is None and messages[0] == DataResponse(b"v")
+        assert len(messages) == 2 and messages[1].code == 0x04
+
+    def test_large_response_goes_out_alone(self, loopback, send_log):
+        """A 1 MiB response is not joined to its neighbours, and encoding it
+        copies the value once."""
+        store, server = loopback
+        big = os.urandom(1 << 20)
+        keys = [store.put(b"a"), store.put(big), store.put(b"b")]
+        with RemoteStore(server.address, timeout=10) as remote:
+            assert remote.get_many(keys) == dict(zip(keys, [b"a", big, b"b"]))
+        frame = len(encode_message(DataResponse(big)))
+        assert frame in send_log and max(send_log) == frame
+        tracemalloc.start()
+        try:
+            encode_message(DataResponse(big))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(big)
 
 
 class TestBatches:

@@ -3,8 +3,10 @@ import errno
 import hashlib
 import os
 import struct
+import tempfile
 import threading
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from xbase.core import (
     KeyMismatchError,
     MAX_KEY_LEN,
     PolicyMismatchError,
+    Store,
     StoreID,
     UnknownKeyError,
 )
@@ -633,3 +636,54 @@ def test_contains(layout, tmp_path):
     with pytest.raises(TypeError):
         b"\x00" * 8 in store
     store.close()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_get_many_matches_the_get_loop(data):
+    """LocalStore.get_many against core.Store's loop over get: the same
+    values in the same order, or the same error, for bound and unbound
+    keys, duplicates, objects that are not keys, a store reopened through
+    its hint and a closed store."""
+    layout = data.draw(st.sampled_from(LAYOUTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = make_store(layout, Path(tmp), "sequence")
+        try:
+            bound = store.put_many([b"v%d" % i for i in range(data.draw(st.integers(0, 5)))])
+            if layout != "memory" and data.draw(st.booleans()):
+                store = reopen(store)
+            if data.draw(st.booleans()):
+                store.close()
+            keys = data.draw(st.lists(st.one_of(
+                st.sampled_from(bound) if bound else st.nothing(),
+                st.binary(min_size=1, max_size=8).map(Key),
+                st.sampled_from(["k", None, b"\x00" * 8])), max_size=12))
+
+            def outcome(get_many):
+                try:
+                    return "ok", list(get_many(keys).items())
+                except Exception as exc:
+                    return type(exc), str(exc)
+
+            assert outcome(store.get_many) == outcome(lambda ks: Store.get_many(store, ks))
+        finally:
+            store.close()
+
+
+def test_get_many_raises_nothing_for_unbound_keys(monkeypatch):
+    raised = []
+
+    class Counted(UnknownKeyError):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(stores_module, "UnknownKeyError", Counted)
+    store = MemoryStore(policy="sequence")
+    key = store.put(b"v")
+    unbound = [Key(b"\x09" * 8), Key(b"\x0a")]
+    assert store.get_many([unbound[0], key, *unbound]) == {key: b"v"}
+    assert raised == []
+    with pytest.raises(UnknownKeyError):
+        store.get(unbound[0])
+    assert len(raised) == 1  # get's error is the one counted

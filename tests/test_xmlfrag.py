@@ -528,6 +528,33 @@ class TestFetchOncePerLevel:
         assert store.batches == 3 and len(store.asked) == 1 + 5 + 10
 
 
+    def test_each_xref_is_resolved_once(self, monkeypatch):
+        calls = []
+        ref_key = xmlfrag._ref_key
+        monkeypatch.setattr(xmlfrag, "_ref_key",
+                            lambda xref, what: calls.append(xref) or ref_key(xref, what))
+        store = MemoryStore(policy="sequence")
+        doc = xml_parse(b"<r>" + b"<b><c>1</c><c>2</c></b>" * 5 + b"</r>")
+        key = fragment(doc, fully_expanded_schema(3), store)
+        assert defragment(key, store) == doc
+        assert len(calls) == 5 + 10
+
+    def test_a_shared_xref_resolves_in_the_store_it_was_read_from(self):
+        """Identical fragment bytes in two stores parse to one tree, whose
+        x-ref means a different fragment in each store."""
+        near, far = MemoryStore(policy="sequence"), MemoryStore(policy="sequence")
+        inner = Key(b"\x07" * 8)
+        near.put_with_key(b"<near/>", inner)
+        far.put_with_key(b"<far/>", inner)
+        shared = f"<c>{_xref(inner)}</c>".encode()
+        in_near, in_far = near.put(shared), far.put(shared)
+        root = near.put((f"<r>{_xref(in_near)}<x-ref mode=\"self\" "
+                         f"store-id=\"{far.get_store_id().hex}\" k=\"{in_far.hex}\"/></r>").encode())
+        expected = xml_parse(b"<r><c><near/></c><c><far/></c></r>")
+        for _ in range(2):  # an empty memo, then a warm one
+            assert defragment(root, near, store_resolver=lambda sid: far) == expected
+
+
 class TestDefragmentErrorsAsBefore:
     """Every fault raises the type and message that one-at-a-time,
     depth-first resolution raises, at the first fault in document order."""
