@@ -40,7 +40,7 @@ from .netstore import (
     UnreachableError,
     parse_address,
 )
-from .stores import LAYOUTS, POLICIES, AppendLogStore, get_root_store, open_store
+from .stores import LAYOUTS, POLICIES, AppendLogStore, _atomic_write, get_root_store, open_store
 from .xmldoc import Element, xml_parse, xml_serialize
 from .xmlfrag import FragSchema, MODE_NAME, defragment, fragment
 
@@ -228,7 +228,7 @@ def _target_addresses(proxy: ProxyStore) -> list[str]:
 def _save_proxy_config(home, proxy: ProxyStore) -> None:
     children = tuple(Element("target", (("address", a),)) for a in _target_addresses(proxy))
     doc = Element("proxy", (("put-policy", str(proxy.put_policy)),), children)
-    _proxy_config_path(home).write_bytes(xml_serialize(doc))
+    _atomic_write(_proxy_config_path(home), xml_serialize(doc))
 
 
 def _cmd_put(args) -> int:

@@ -62,9 +62,6 @@ class LogFormat:
     prefix: struct.Struct
     fields: tuple[tuple[str, int, int], tuple[str, int, int]]
     crc_whole_record: bool
-    # each format's wording of two header errors, kept as released
-    short_header_error: str
-    version_error: str
 
     def header(self, log_id: StoreID, extra: bytes) -> bytes:
         return self.magic + bytes([self.version]) + log_id.raw + extra
@@ -72,11 +69,11 @@ class LogFormat:
     def check_header(self, data: bytes, source: str) -> tuple[StoreID, bytes]:
         """Validate a header; return its log id and extra bytes."""
         if len(data) < self.header_len:
-            raise CorruptionError(f"{source}: " + self.short_header_error.format(len(data)))
+            raise CorruptionError(f"{source}: short header ({len(data)} bytes)")
         if data[:4] != self.magic:
             raise CorruptionError(f"{source}: bad magic {data[:4]!r}")
         if data[4] != self.version:
-            raise CorruptionError(f"{source}: " + self.version_error.format(data[4]))
+            raise CorruptionError(f"{source}: unsupported format version {data[4]}")
         return StoreID(data[5:21]), data[21 : self.header_len]
 
     def record(self, prefix: tuple, first: bytes, second: bytes) -> bytes:

@@ -57,8 +57,6 @@ NAMER_LOG = LogFormat(
     prefix=struct.Struct(">QB"),
     fields=(("name", 1, MAX_NAME_UTF8_LEN), ("key", 1, MAX_KEY_LEN)),
     crc_whole_record=True,
-    short_header_error="short header",
-    version_error="unsupported version {}",
 )
 
 ACTION_BIND = 0x01

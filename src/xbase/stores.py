@@ -65,8 +65,6 @@ STORE_LOG = LogFormat(
     prefix=struct.Struct(""),
     fields=(("key", 1, MAX_KEY_LEN), ("value", 0, MAX_VALUE_LEN)),
     crc_whole_record=False,
-    short_header_error="short header ({} bytes)",
-    version_error="unsupported format version {}",
 )
 
 POLICY_TAG_RANDOM = 0x01
@@ -99,7 +97,7 @@ class KeyPolicy:
 
 
 class RandomKeys(KeyPolicy):
-    """Keys drawn from a cryptographically secure source.
+    """16-byte keys drawn from a cryptographically secure source.
 
     A draw that collides with an existing binding for a different value is
     regenerated, up to MAX_RANDOM_RETRIES attempts.
@@ -108,14 +106,9 @@ class RandomKeys(KeyPolicy):
     tag = POLICY_TAG_RANDOM
     kind = "random"
 
-    def __init__(self, key_len: int = 16):
-        if not 1 <= key_len <= MAX_KEY_LEN:
-            raise ValueError(f"key_len must be in 1..{MAX_KEY_LEN}")
-        self.key_len = key_len
-
     def mint(self, value, bound):
         for _ in range(MAX_RANDOM_RETRIES):
-            key_bytes = secrets.token_bytes(self.key_len)
+            key_bytes = secrets.token_bytes(16)
             if bound(key_bytes) in (None, value):
                 return key_bytes  # unused, or collided with an identical binding
         raise KeyGenerationError(f"no unused random key after {MAX_RANDOM_RETRIES} attempts")

@@ -8,23 +8,22 @@ stays in one piece. Fragments are written child-first, one put_many per
 tree level from the deepest up (level order), so every reference points at
 a fragment that already exists and the fragment graph is acyclic by
 construction. Reading fetches level by level too, one get_many per store;
-each distinct fragment is fetched once per call, and parsed once while its
-bytes stay in the memo. Neither direction recurses, so nesting depth is
+each distinct fragment is fetched once per call, and parsed once per call
+unless the memo holds it. Neither direction recurses, so nesting depth is
 limited only by memory.
 
-The memo maps a fragment's exact bytes to its parsed tree, as parsing is a
-pure function of the bytes; it needs no store identity and sees every edit,
-since each call still fetches every fragment and looks up every name. It is
-a least-recently-used map shared by all threads, holding at most 512 KiB
-of fragment bytes and 16 384 parsed parts (elements, attributes and text
-nodes), so it holds a few MB of trees at most. fragment adds each body it
-writes under the bytes it serialized, as parse(serialize(node)) == node; a
-document holding a subclass of Element or Text adds nothing. A parse that
-fails is not kept. So a defragmented document may share immutable
-subtrees with earlier results and with the document passed to fragment.
-The memo saves a parse only when the same process wrote or read the same
-bytes a short while before; a reader in another process, such as xbase
-defrag after xbase frag, parses every fragment.
+The memo holds the fragments this process wrote, in the form defragment
+reads, under the bytes fragment serialized; as parse(serialize(node)) ==
+node, it needs no store identity and sees every edit, since each call
+still fetches every fragment and looks up every name. It is a
+least-recently-used map shared by all threads, holding at most 512 KiB of
+fragment bytes and 16 384 parsed parts (elements, attributes and text
+nodes), so it holds a few MB of trees at most. A document holding a
+subclass of Element or Text adds nothing. defragment adds nothing either:
+bytes this process did not write, such as those xbase defrag reads after
+xbase frag ran in another process, are parsed on every call. So a
+defragmented document may share immutable subtrees with earlier results
+and with the document passed to fragment.
 
 References come in three modes:
 
@@ -46,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .core import (
     InvalidRepresentationError,
@@ -197,6 +196,7 @@ class _Piece:
     parent: "_Piece | None"
     slot: int
     body: list[XmlNode] | None = None  # children, None while collapsed
+    refs: list[Element] | None = None  # the x-refs placed in body, in order
 
 
 def _split_levels(doc: Element, root_snode: SchemaNode, name_paths: bool) -> list[list[_Piece]]:
@@ -226,6 +226,7 @@ def _split_levels(doc: Element, root_snode: SchemaNode, name_paths: bool) -> lis
                 below.append(_Piece(child, child_snode, path, piece, len(body)))
                 body.append(None)
             piece.body = body
+            piece.refs = []
         level = below
     return levels
 
@@ -276,8 +277,11 @@ def fragment(
         data = [xml_serialize(body) for body in bodies]
         keys = store.put_many(data)
         if plain:
-            for value, body in zip(data, bodies):
-                _memo.add(value, body, _parts(body))
+            # x-refs sit only in an expanded body's own children
+            for piece, body, value in zip(level, bodies, data):
+                refs = piece.refs or ()
+                _memo.add(value, _Fragment(body, refs, (id(body),) if refs else ()),
+                          _parts(body))
         for piece, key in zip(level, keys):
             if mode == MODE_NAME:
                 name = Name(name_prefix + "/" + piece.path)
@@ -288,39 +292,49 @@ def fragment(
             else:
                 attributes = (("mode", MODE_KEY), ("k", key.hex))
             if piece.parent is not None:
-                piece.parent.body[piece.slot] = _trusted(
-                    Element, name=XREF_NAME, attributes=attributes, children=())
+                xref = _trusted(Element, name=XREF_NAME, attributes=attributes, children=())
+                piece.parent.body[piece.slot] = xref
+                piece.parent.refs.append(xref)
     return name if mode == MODE_NAME else key
 
 
 StoreResolver = Callable[[StoreID], Store]
 
 
-class _Fragment:
-    """A parsed fragment and the ids of its elements that hold an x-ref
-    (the only ones assembly has to rebuild)."""
+class _Fragment(NamedTuple):
+    """A parsed fragment, the x-refs assembly resolves, and the ids of its
+    elements that hold one (the only ones assembly has to rebuild)."""
 
-    __slots__ = ("root", "holders", "refs")
+    root: Element
+    refs: Sequence[Element]
+    holders: Collection[int]
 
-    def __init__(self, root: Element):
-        self.root = root
-        self.refs: list[Element] = []  # the x-refs assembly resolves
-        self.holders: set[int] = set()
-        pending: list[tuple[Element, tuple | None]] = [(root, None)]
-        while pending:
-            element, up = pending.pop()
-            link = (id(element), up)  # this element and its ancestors
-            for child in element.children:
-                if not isinstance(child, Element):
-                    continue
-                if child.name != XREF_NAME:
-                    pending.append((child, link))
-                    continue
-                self.refs.append(child)
-                holder = link
-                while holder is not None and holder[0] not in self.holders:
-                    self.holders.add(holder[0])
-                    holder = holder[1]
+
+def _read(data: bytes) -> _Fragment:
+    """The fragment of data: the one this process wrote, from the memo, or
+    else parsed through xml_parse; an error is raised afresh on every call."""
+    fragment = _memo.get(data)
+    if fragment is not None:
+        return fragment
+    root = xml_parse(data)
+    refs: list[Element] = []
+    holders: set[int] = set()
+    pending: list[tuple[Element, tuple | None]] = [(root, None)]
+    while pending:
+        element, up = pending.pop()
+        link = (id(element), up)  # this element and its ancestors
+        for child in element.children:
+            if not isinstance(child, Element):
+                continue
+            if child.name != XREF_NAME:
+                pending.append((child, link))
+                continue
+            refs.append(child)
+            holder = link
+            while holder is not None and holder[0] not in holders:
+                holders.add(holder[0])
+                holder = holder[1]
+    return _Fragment(root, refs, holders)
 
 
 def _parts(root: Element) -> int:
@@ -338,45 +352,30 @@ def _parts(root: Element) -> int:
 
 
 class _Memo:
-    """Parsed fragments by their exact bytes, least recently used first,
-    each with its number of parts. An entry is a _Fragment, or the Element
-    fragment wrote, made a _Fragment on its first hit: building it in the
-    write made documents writes slower (paired runs in BENCH_15.json).
-    The entries' keys add up to at most budget bytes, and their trees to at
-    most part_budget parts. A part takes 100 to 300 bytes once parsed, so
-    the bytes alone would let a fragment dense in elements or attributes
-    hold over 60 times its size."""
+    """The fragments fragment wrote, by their exact bytes, least recently
+    used first, each with its number of parts. The entries' keys add up to
+    at most budget bytes, and their trees to at most part_budget parts. A
+    part takes 100 to 300 bytes once parsed, so the bytes alone would let a
+    fragment dense in elements or attributes hold over 60 times its size."""
 
     budget = 512 << 10
     part_budget = 16 << 10
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.entries: OrderedDict[bytes, tuple[_Fragment | Element, int]] = OrderedDict()
+        self.entries: OrderedDict[bytes, tuple[_Fragment, int]] = OrderedDict()
         self.size = 0
         self.parts = 0
 
-    def parse(self, data: bytes) -> _Fragment:
-        """The parsed fragment of data, from the memo or from xml_parse; an
-        error is raised afresh on every call."""
-        if type(data) is not bytes:  # unhashable, or not what a store returns
-            return _Fragment(xml_parse(data))
+    def get(self, data: bytes) -> _Fragment | None:
         with self.lock:
             entry = self.entries.get(data)
-            if entry is not None:
-                self.entries.move_to_end(data)
-        if entry is None:
-            fragment = _Fragment(xml_parse(data))
-            self.add(data, fragment, _parts(fragment.root))
-            return fragment
-        tree, parts = entry
-        if isinstance(tree, _Fragment):
-            return tree
-        fragment = _Fragment(tree)
-        self.add(data, fragment, parts)
-        return fragment
+            if entry is None:
+                return None
+            self.entries.move_to_end(data)
+        return entry[0]
 
-    def add(self, data: bytes, tree: _Fragment | Element, parts: int) -> None:
+    def add(self, data: bytes, fragment: _Fragment, parts: int) -> None:
         if len(data) > self.budget or parts > self.part_budget:
             return
         with self.lock:
@@ -385,7 +384,7 @@ class _Memo:
             else:
                 self.size += len(data)
                 self.parts += parts
-            self.entries[data] = (tree, parts)
+            self.entries[data] = (fragment, parts)
             evicted = []  # freed after the lock is released
             while self.size > self.budget or self.parts > self.part_budget:
                 old, entry = self.entries.popitem(last=False)
@@ -470,9 +469,10 @@ class _Defrag:
         raise InvalidRepresentationError(f"unknown x-ref mode {mode!r}")
 
     def fetch(self, key: Key, store: Store) -> None:
-        """Parse every fragment reachable from key into the memo, one level
-        at a time with one get_many per store. Whatever fails here is left
-        out; assembly repeats it and raises the error in document order."""
+        """Read every fragment reachable from key into the call's fragments,
+        one level at a time with one get_many per store. Whatever fails here
+        is left out; assembly repeats it and raises the error in document
+        order."""
         level = [(key, store)]
         while level:
             wanted: dict[int, tuple[Store, bytes, dict[Key, None]]] = {}
@@ -491,7 +491,7 @@ class _Defrag:
                     continue
                 for key, value in values.items():
                     try:
-                        fragment = _memo.parse(value)
+                        fragment = _read(value)
                     except Exception:
                         continue
                     self.fragments[(sid, key.raw)] = fragment
@@ -503,7 +503,7 @@ class _Defrag:
 
     def open(self, key: Key, store: Store, on_path: set) -> Element | tuple:
         """Open a fragment for assembly: its cycle check, then the call's
-        fragments, or a get and parse if the fetch left it out. A fragment
+        fragments, or a get and a read if the fetch left it out. A fragment
         without x-refs is returned whole; any other comes back as a new
         stack frame."""
         node_id = (store.get_store_id().raw, key.raw)
@@ -511,7 +511,7 @@ class _Defrag:
             raise CycleDetectedError(f"fragment {key.hex} references itself")
         fragment = self.fragments.get(node_id)
         if fragment is None:
-            fragment = self.fragments[node_id] = _memo.parse(store.get(key))
+            fragment = self.fragments[node_id] = _read(store.get(key))
         root = fragment.root
         if id(root) not in fragment.holders:
             return root
@@ -583,8 +583,9 @@ def defragment(
     """Reassemble a fragmented document; the result has no x-ref elements.
 
     Fragments are fetched breadth-first, one get_many per store and level,
-    and each distinct fragment is fetched once per call and parsed once
-    while its bytes stay in the memo; the document is then assembled
+    and each distinct fragment is fetched once per call and, unless this
+    process wrote it and the memo still holds it, parsed once per call;
+    nothing read is added to the memo. The document is then assembled
     without recursion, so depth is limited only by memory. The result may
     share immutable subtrees with earlier results."""
     if isinstance(root_ref, Name):

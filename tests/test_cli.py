@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, stdout discipline, command behavior."""
+import errno
 import io
 import logging
+import os
 import re
 import signal
 import socket
@@ -341,6 +343,20 @@ class TestProxyCommands:
         assert main(["proxy", "remove-target", "127.0.0.1:9"]) == 0
         main(["proxy", "list"])
         assert capsys.readouterr().out == "127.0.0.1:10\n"
+
+    def test_a_failed_save_keeps_the_previous_config(self, tmp_home, capsys, monkeypatch):
+        assert main(["proxy", "add-target", "127.0.0.1:9001"]) == 0
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", full_disk)
+            assert main(["proxy", "add-target", "127.0.0.1:9002"]) == 2
+        assert [path.name for path in tmp_home.iterdir()] == ["proxy.xml"]
+        capsys.readouterr()
+        assert main(["proxy", "list"]) == 0
+        assert capsys.readouterr().out == "127.0.0.1:9001\n"
 
     def test_bad_address_rejected(self, tmp_home, capsys):
         assert main(["proxy", "add-target", "no-port-here"]) == 1

@@ -9,9 +9,9 @@ import pytest
 
 import xbase
 from xbase.cli import main
-from xbase.core import Key, LogLockedError, Name
+from xbase.core import CorruptionError, Key, LogLockedError, Name
 from xbase.namer import NAMER_HEADER_LEN, LogNamer
-from xbase.stores import HEADER_LEN, AppendLogStore
+from xbase.stores import HEADER_LEN, META_FILENAME, AppendLogStore, FilePerKeyStore
 
 
 class StoreLog:
@@ -124,3 +124,23 @@ def test_open_from_another_process_is_refused(kind, tmp_path):
     assert b"already open" in refused.stderr
     log.close()
     assert run_cli().returncode == 0
+
+
+@pytest.mark.parametrize("opener, name", [
+    pytest.param(AppendLogStore.open, "s.store", id="store"),
+    pytest.param(LogNamer.open, "n.namer", id="namer"),
+    pytest.param(lambda path: FilePerKeyStore.open(path.parent), f"d/{META_FILENAME}",
+                 id="store.meta"),
+])
+@pytest.mark.parametrize("damage, message", [
+    (lambda header: header[:3], "short header (3 bytes)"),
+    (lambda header: header[:4] + b"\x09" + header[5:], "unsupported format version 9"),
+])
+def test_header_errors_read_alike(opener, name, damage, message, tmp_path):
+    """Both logs and store.meta report a bad header in one wording."""
+    path = tmp_path / name
+    opener(path).close()
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CorruptionError) as exc:
+        opener(path)
+    assert str(exc.value) == f"{path}: {message}"

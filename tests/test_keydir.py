@@ -41,9 +41,9 @@ VALUES = [b"", b"a", b"b", b"ab", b"abc", b"\x00", b"zz", b"v" * 10]
 KEYS = ([Key(i.to_bytes(8, "big")) for i in range(1, 11)]
         + [Key(bytes([i])) for i in range(6)]
         + [Key(hashlib.sha256(v).digest()) for v in VALUES])
-# a fresh policy for each open; 1-byte random keys collide often
+# a fresh policy for each open
 POLICIES = {
-    "random": lambda: RandomKeys(key_len=1),
+    "random": RandomKeys,
     "sequence": SequenceKeys,
     "content-hash": ContentHashKeys,
 }
@@ -103,7 +103,9 @@ def test_hinted_and_replayed_stores_agree(tmp_path_factory, policy, setup, ops):
         return outcomes[0]
 
     def put(store, value):
-        return store.put(value)
+        # random keys of one byte, which collide often
+        with mock.patch.object(stores.secrets, "token_bytes", lambda n: rng.randbytes(1)):
+            return store.put(value)
 
     def get_issued(store, i):
         return store.get(issued[i % len(issued)]) if issued else None
@@ -117,25 +119,24 @@ def test_hinted_and_replayed_stores_agree(tmp_path_factory, policy, setup, ops):
         "keys": lambda store: store.keys(),
         "bindings": lambda store: list(store.bindings()),
     }
-    with mock.patch.object(stores.secrets, "token_bytes", lambda n: rng.randbytes(n)):
-        subjects = open_both()
-        try:
-            for v in setup:
-                issued.append(apply(put, VALUES[v]))
-            reopen()
-            for op, *args in ops:
-                if op == "reopen":
-                    reopen()
-                elif op == "put":
-                    key = apply(put, VALUES[args[0]])
-                    if isinstance(key, Key):
-                        issued.append(key)
-                else:
-                    apply(calls[op], *args)
-            apply(calls["bindings"])
-        finally:
-            for store in subjects:
-                store.close()
+    subjects = open_both()
+    try:
+        for v in setup:
+            issued.append(apply(put, VALUES[v]))
+        reopen()
+        for op, *args in ops:
+            if op == "reopen":
+                reopen()
+            elif op == "put":
+                key = apply(put, VALUES[args[0]])
+                if isinstance(key, Key):
+                    issued.append(key)
+            else:
+                apply(calls[op], *args)
+        apply(calls["bindings"])
+    finally:
+        for store in subjects:
+            store.close()
 
 
 def build(path, n=300):

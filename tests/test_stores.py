@@ -19,7 +19,6 @@ from xbase.core import (
     KeyConflictError,
     KeyGenerationError,
     KeyMismatchError,
-    MAX_KEY_LEN,
     PolicyMismatchError,
     Store,
     StoreID,
@@ -234,9 +233,16 @@ class TestRandomPolicy:
             store.put(b"different")
         assert len(calls) == 8
 
-    def test_custom_key_len(self):
-        store = MemoryStore(policy=RandomKeys(key_len=4))
-        assert len(store.put(b"v").raw) == 4
+    def test_keys_are_16_bytes_before_and_after_a_reopen(self, tmp_path):
+        """The length is not a setting, so a reopen cannot lose it."""
+        with pytest.raises(TypeError):
+            RandomKeys(key_len=4)
+        path = tmp_path / "r.store"
+        with AppendLogStore.open(path, policy=RandomKeys()) as store:
+            first = store.put(b"v")
+        with AppendLogStore.open(path) as store:
+            assert store.get(first) == b"v"
+            assert [len(key.raw) for key in (first, store.put(b"w"))] == [16, 16]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -613,12 +619,6 @@ class TestRuleErrors:
         with pytest.raises(TypeError) as exc:
             stores_module.make_policy(3)
         assert str(exc.value) == "policy must be KeyPolicy or str, got int"
-
-    @pytest.mark.parametrize("key_len", (0, MAX_KEY_LEN + 1))
-    def test_random_key_len_out_of_range(self, key_len):
-        with pytest.raises(ValueError) as exc:
-            RandomKeys(key_len=key_len)
-        assert str(exc.value) == f"key_len must be in 1..{MAX_KEY_LEN}"
 
     @pytest.mark.parametrize("next_seq", (0, -1, 2**64 + 1))
     def test_sequence_next_seq_out_of_range(self, next_seq):

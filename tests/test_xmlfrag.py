@@ -656,9 +656,10 @@ class TestDefragmentErrorsAsBefore:
 
 # ---------------------------------------------------------------- the memo
 #
-# defragment keeps parsed fragments in a bounded memo keyed by their bytes,
-# and fragment writes its bodies through to it. A warm memo and an empty
-# one must read the same documents and raise the same errors.
+# fragment keeps the fragments it writes in a bounded memo keyed by their
+# bytes, in the form defragment reads; defragment adds nothing to it. A
+# warm memo and an empty one must read the same documents and raise the
+# same errors.
 
 def _replaced(element, path, swaps):
     """element with each subtree whose name path is in swaps replaced, the
@@ -727,28 +728,61 @@ class _CountingParse:
 
 class TestMemo:
     def test_written_and_read_fragments_are_not_parsed_again(self, monkeypatch):
+        """Fragments this process wrote read back, again and again, with no
+        parse; bytes it did not write are parsed on every call, and the
+        memo is left as it was."""
         parse = _CountingParse()
         monkeypatch.setattr(xmlfrag, "xml_parse", parse)
         store = MemoryStore(policy="sequence")
         key = fragment(LIBRARY, LIBRARY_SCHEMA, store)
-        assert defragment(key, store) == LIBRARY
-        assert parse.calls == 0  # all three bodies were written through
+        memo = xmlfrag._memo
+
+        def state():
+            return list(memo.entries.items()), memo.size, memo.parts
+
+        for _ in range(2):
+            assert defragment(key, store) == LIBRARY
+        assert parse.calls == 0
+        written = state()
+        assert len(written[0]) == 3
+        books = [store.put(b"<book><t>%d</t></book>" % i) for i in range(2)]
+        root = store.put(f"<library>{_xref(books[0])}{_xref(books[1])}</library>".encode())
+        for calls in (3, 6):
+            assert defragment(root, store) == xml_parse(
+                b"<library><book><t>0</t></book><book><t>1</t></book></library>")
+            assert parse.calls == calls
+            assert state() == written
+
+    def test_a_written_fragment_carries_what_a_parse_finds(self):
+        """fragment records each body's x-refs as it places them; a parse
+        of the stored bytes finds the same tree, x-refs and holders."""
+        store = MemoryStore(policy="sequence")
+        doc = xml_parse(b"<r><b><c>1</c>t<c>2</c><d/></b><e/><b>u</b></r>")
+        fragment(doc, FragSchema.from_xml(b"<r><b><c/></b><e/></r>"), store)
+        written = list(xmlfrag._memo.entries.items())
+        assert len(written) == 6
         xmlfrag._memo.clear()
-        assert defragment(key, store) == LIBRARY
-        assert parse.calls == 3
-        assert defragment(key, store) == LIBRARY
-        assert parse.calls == 3
+        for data, (kept, parts) in written:
+            parsed = xmlfrag._read(data)
+            assert kept.root == parsed.root and parts == xmlfrag._parts(parsed.root)
+            assert list(kept.refs) == parsed.refs
+            children = list(map(id, kept.root.children))
+            assert all(id(ref) in children for ref in kept.refs)
+            assert (id(kept.root) in kept.holders) == (id(parsed.root) in parsed.holders)
+            assert len(kept.holders) == len(parsed.holders)
+        assert not xmlfrag._memo.entries
 
     def test_unparsable_fragment_is_not_kept(self):
         store = MemoryStore(policy="random")
+        fragment(LIBRARY, LIBRARY_SCHEMA, store)
+        written = list(xmlfrag._memo.entries)
         bad = b"<a><b></a>"
         root = store.put(f"<r>{_xref(store.put(bad))}</r>".encode())
         for _ in range(2):
             with pytest.raises(ParseError) as info:
                 defragment(root, store)
             assert str(info.value) == "offset 6: mismatched tag: expected </b>, got </a>"
-            assert bad not in xmlfrag._memo.entries
-        assert list(xmlfrag._memo.entries) == [store.get(root)]
+            assert list(xmlfrag._memo.entries) == written
 
     def test_bytes_stay_within_the_budget(self, monkeypatch):
         monkeypatch.setattr(xmlfrag._memo, "budget", 200)
@@ -766,8 +800,7 @@ class TestMemo:
     def test_a_fragment_over_the_budget_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(xmlfrag._memo, "budget", 64)
         store = MemoryStore(policy="sequence")
-        small = store.put(b"<s/>")
-        assert defragment(small, store) == Element("s")
+        fragment(Element("s"), fully_collapsed_schema(), store)
         doc = Element("r", (), (Text("x" * 100),))
         key = fragment(doc, fully_collapsed_schema(), store)
         assert defragment(key, store) == doc
@@ -787,19 +820,17 @@ class TestMemo:
             assert memo.size < memo.budget
             assert 0 < memo.parts <= 300
             assert memo.parts == sum(parts for _, parts in memo.entries.values())
-            for data, (tree, parts) in memo.entries.items():
-                root = tree.root if isinstance(tree, xmlfrag._Fragment) else tree
-                assert root == xml_parse(data) and parts == xmlfrag._parts(root)
+            for data, (kept, parts) in memo.entries.items():
+                assert kept.root == xml_parse(data) and parts == xmlfrag._parts(kept.root)
 
-        check()  # the Elements fragment wrote
+        check()
         assert defragment(key, store) == doc
-        check()  # now parsed, or made _Fragments on their first hit
+        check()
 
     def test_a_fragment_over_the_part_budget_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(xmlfrag._memo, "part_budget", 50)
         store = MemoryStore(policy="sequence")
-        small = store.put(b"<s/>")
-        assert defragment(small, store) == Element("s")
+        fragment(Element("s"), fully_collapsed_schema(), store)
         doc = Element("r", (), tuple(Element("b") for _ in range(50)))
         key = fragment(doc, fully_collapsed_schema(), store)
         assert defragment(key, store) == doc
@@ -823,10 +854,12 @@ class TestMemo:
     def test_a_hit_is_used_most_recently(self, monkeypatch):
         monkeypatch.setattr(xmlfrag._memo, "budget", 16)
         memo = xmlfrag._memo
-        for data in (b"<a>1</a>", b"<b>1</b>"):
-            memo.parse(data)
-        memo.parse(b"<a>1</a>")
-        memo.parse(b"<c>1</c>")  # evicts the least recently used: <b>
+        store = MemoryStore(policy="sequence")
+        a, _ = (fragment(xml_parse(data), fully_collapsed_schema(), store)
+                for data in (b"<a>1</a>", b"<b>1</b>"))
+        assert defragment(a, store) == xml_parse(b"<a>1</a>")
+        # evicts the least recently used: <b>
+        fragment(xml_parse(b"<c>1</c>"), fully_collapsed_schema(), store)
         assert list(memo.entries) == [b"<a>1</a>", b"<c>1</c>"] and memo.size == 16
 
     def test_subclassed_nodes_read_back_as_plain_ones(self):
