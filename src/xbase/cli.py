@@ -25,6 +25,7 @@ from .core import (
     Key,
     LogLockedError,
     Name,
+    StoreID,
     XbaseError,
 )
 from .home import ROOT_NAMER_FILENAME, ROOT_STORE_FILENAME, root_is_open, xbase_home
@@ -195,16 +196,17 @@ def _proxy_config_path(home) -> Path:
 
 
 def _load_proxy(home) -> ProxyStore:
-    """The proxy configured under home, with no targets if there is no
-    config yet. A target listed twice, under any spelling of its address,
-    is added once; the next save writes it once."""
-    proxy = ProxyStore()
+    """The proxy configured under home, with the store id it records (else a
+    new one), and no targets if there is no config yet. A target listed twice,
+    under any spelling of its address, is added once; the next save writes it once."""
     path = _proxy_config_path(home)
     if not path.exists():
-        return proxy
+        return ProxyStore()
     root = xml_parse(path.read_bytes())
     if root.name != "proxy":
         raise ValueError(f"{path}: expected a <proxy> document")
+    proxy_id = root.attr("id")
+    proxy = ProxyStore(store_id=StoreID.from_hex(proxy_id) if proxy_id else None)
     policy = root.attr("put-policy", "local-first")
     if policy != "local-first":
         if not policy.isdigit():
@@ -227,7 +229,8 @@ def _target_addresses(proxy: ProxyStore) -> list[str]:
 
 def _save_proxy_config(home, proxy: ProxyStore) -> None:
     children = tuple(Element("target", (("address", a),)) for a in _target_addresses(proxy))
-    doc = Element("proxy", (("put-policy", str(proxy.put_policy)),), children)
+    attributes = (("id", proxy.get_store_id().hex), ("put-policy", str(proxy.put_policy)))
+    doc = Element("proxy", attributes, children)
     _atomic_write(_proxy_config_path(home), xml_serialize(doc))
 
 
@@ -357,7 +360,8 @@ def _cmd_defrag(args) -> int:
                 namer = stack.enter_context(_open_selected_namer(args))
             return namer.lookup(name)
 
-        doc = defragment(_parse_ref(args.ref), store, namer=SimpleNamespace(lookup=lookup))
+        resolver = store.store_for_id if args.store == "proxy" else None  # self-mode x-refs
+        doc = defragment(_parse_ref(args.ref), store, SimpleNamespace(lookup=lookup), resolver)
     sys.stdout.buffer.write(xml_serialize(doc))
     sys.stdout.buffer.flush()
     return 0

@@ -36,9 +36,6 @@ def xbase_home(home: str | os.PathLike | None = None) -> Path:
 
 
 def _user_data_dir() -> Path:
-    if sys.platform == "win32":
-        base = os.environ.get("APPDATA")
-        return Path(base) if base else Path.home() / "AppData" / "Roaming"
     if sys.platform == "darwin":
         return Path.home() / "Library" / "Application Support"
     base = os.environ.get("XDG_DATA_HOME")

@@ -74,11 +74,13 @@ class BindingRecord:
 
 
 class MemoryNamer(Namer):
-    """Transient namer holding its bindings solely in memory."""
+    """Transient namer holding its bindings solely in memory, as name text ->
+    set of key bytes (the form a LogNamer hint stores); Name and Key objects
+    are built only where lookup and bindings hand them out."""
 
     def __init__(self, namer_id: StoreID | None = None):
         self._id = namer_id or StoreID.generate()
-        self._bindings: dict[Name, set[Key]] = {}
+        self._bindings: dict[str, set[bytes]] = {}
         self._lock = threading.RLock()
         self._closed = False
 
@@ -100,58 +102,58 @@ class MemoryNamer(Namer):
         check_key(key)
         with self._lock:
             self._check_open()
-            if key not in self._bindings.get(name, ()):
-                self._change(ACTION_BIND, name, key)
+            if key.raw not in self._bindings.get(name.text, ()):
+                self._change(ACTION_BIND, name.text, key.raw)
 
     def unbind(self, name: Name, key: Key) -> None:
         check_name(name)
         check_key(key)
         with self._lock:
             self._check_open()
-            if key not in self._bindings.get(name, ()):
+            if key.raw not in self._bindings.get(name.text, ()):
                 raise NotBoundError(f"{name.text!r} is not bound to {key.hex}")
-            self._change(ACTION_UNBIND, name, key)
+            self._change(ACTION_UNBIND, name.text, key.raw)
 
     def lookup(self, name: Name) -> set[Key]:
         check_name(name)
         with self._lock:
             self._check_open()
-            return set(self._bindings.get(name, ()))
+            return {Key(raw) for raw in self._bindings.get(name.text, ())}
 
     def bindings(self) -> list[tuple[Name, Key]]:
         """Snapshot of the current binding set, sorted for determinism."""
         with self._lock:
-            pairs = [(n, k) for n, keys in self._bindings.items() for k in keys]
-        pairs.sort(key=lambda pair: (pair[0].text, pair[1].raw))
-        return pairs
+            pairs = sorted((text, raw) for text, raws in self._bindings.items() for raw in raws)
+        return [(Name(text), Key(raw)) for text, raw in pairs]
 
     def _check_open(self) -> None:
         if self._closed:
             raise ValueError("namer is closed")
 
-    def _change(self, action: int, name: Name, key: Key) -> None:
+    def _change(self, action: int, text: str, raw: bytes) -> None:
         """The one state transition: a BIND, or an UNBIND of a bound pair."""
         if action == ACTION_BIND:
-            self._bindings.setdefault(name, set()).add(key)
+            self._bindings.setdefault(text, set()).add(raw)
         else:
-            keys = self._bindings[name]
-            keys.remove(key)
-            if not keys:
-                del self._bindings[name]
+            raws = self._bindings[text]
+            raws.remove(raw)
+            if not raws:
+                del self._bindings[text]
 
 
 class LogNamer(FramedLog, MemoryNamer):
     """Durable namer recording its bindings in an append-only log.
 
-    Current state is the fold of all committed records. Each name also keeps
-    its history, [(seq, action, key bytes)] in seq order, which answers
-    lookup_as_of by bisection and from which records() rebuilds the log.
-    An open through the hint installs the live bindings at once, but keeps
-    each history packed as the hint stored it, (record count, marshal
-    bytes), until lookup_as_of, bind, unbind, records() or the tail replay
-    first needs it; a packed history that does not decode to its count
-    raises CorruptionError then. Close packs again only the histories it
-    decoded.
+    Current state is the fold of all committed records, each applied to
+    the bindings and to its name's history, [(seq, action, key bytes)] in
+    seq order, which answers lookup_as_of by bisection and from which
+    records() rebuilds the log; replay and a bind or unbind apply a record
+    alike. An open through the hint installs its live bindings as they
+    are stored, but keeps each history packed as the hint stored it,
+    (record count, marshal bytes), until lookup_as_of, bind, unbind,
+    records() or the tail replay first needs it; a packed history that
+    does not decode to its count raises CorruptionError then. Close packs
+    again only the histories it decoded.
     """
 
     _format = NAMER_LOG
@@ -171,38 +173,36 @@ class LogNamer(FramedLog, MemoryNamer):
 
     def _replay(self, header: tuple[StoreID, bytes], records) -> None:
         self._id = header[0]
-        path, change = self._path, super()._change
-        bindings, history = self._bindings, self._history
-        # each distinct name and key is decoded and checked once
-        names: dict[bytes, Name] = {}
-        keys: dict[bytes, Key] = {}
-        last = self._max_seq
-        for start, (seq, action), name_bytes, key_bytes, _ in records:
-            if seq != last + 1:
+        path, bindings, apply = self._path, self._bindings, self._apply
+        # each distinct name is decoded and checked once; the log's field
+        # bounds already make every key valid
+        names: dict[bytes, str] = {}
+        for start, (seq, action), name_bytes, raw, _ in records:
+            if seq != self._max_seq + 1:
                 raise CorruptionError(f"{path}: sequence gap at offset {start} (got {seq})")
             if action not in (ACTION_BIND, ACTION_UNBIND):
                 raise CorruptionError(f"{path}: unknown action {action:#04x} at offset {start}")
-            name, key = names.get(name_bytes), keys.get(key_bytes)
-            if name is None or key is None:
+            text = names.get(name_bytes)
+            if text is None:
                 try:
-                    if name is None:
-                        name = names[name_bytes] = Name(name_bytes.decode("utf-8"))
-                    if key is None:
-                        key = keys[key_bytes] = Key(key_bytes)
+                    text = names[name_bytes] = Name(name_bytes.decode("utf-8")).text
                 except (UnicodeDecodeError, ValueError) as exc:
                     raise CorruptionError(f"{path}: bad record at {start}: {exc}") from None
-            if action == ACTION_UNBIND and key not in bindings.get(name, ()):
+            if action == ACTION_UNBIND and raw not in bindings.get(text, ()):
                 raise CorruptionError(f"{path}: UNBIND of unbound pair at seq {seq}")
-            change(action, name, key)
-            entry = history.get(name.text)
-            if type(entry) is not list:  # new, or still packed as the hint left it
-                entry = history[name.text] = self._history_of(name.text)
-            entry.append((seq, action, key.raw))
-            last = seq
-        self._max_seq = last
+            apply(seq, action, text, raw)
+
+    def _apply(self, seq: int, action: int, text: str, raw: bytes) -> None:
+        """Apply record seq, already checked, to the history, max_seq and bindings."""
+        history = self._history.get(text)
+        if type(history) is not list:  # new, or still packed as the hint left it
+            history = self._history[text] = self._history_of(text)
+        history.append((seq, action, raw))
+        self._max_seq = seq
+        super()._change(action, text, raw)
 
     def _hint_state(self) -> tuple:
-        live = {name.text: [key.raw for key in keys] for name, keys in self._bindings.items()}
+        live = {text: list(raws) for text, raws in self._bindings.items()}
         packed = {text: pack(history) if type(history) is list else history
                   for text, history in self._history.items()}
         return self._max_seq, live, packed
@@ -211,17 +211,17 @@ class LogNamer(FramedLog, MemoryNamer):
         max_seq, live, history = state
         if not (type(max_seq) is int and type(live) is dict and type(history) is dict
                 and all_packed(history.values())
-                and sum(count for count, _ in history.values()) == max_seq):
+                and sum(count for count, _ in history.values()) == max_seq
+                and all(type(t) is str and type(r) is list and all(type(b) is bytes for b in r)
+                        for t, r in live.items())):
             raise ValueError("unexpected namer hint shape")
-        bindings = {Name(text): {Key(raw) for raw in raws} for text, raws in live.items()}
-        self._max_seq, self._bindings, self._history = max_seq, bindings, history
+        self._max_seq, self._history = max_seq, history
+        self._bindings = {text: set(raws) for text, raws in live.items()}
 
     def _history_of(self, text: str) -> list:
         """The history of the name text, decoded and installed on first use
         if the hint left it packed; a new list if the name has none."""
-        history = self._history.get(text)
-        if history is None:
-            return []
+        history = self._history.get(text, [])
         if type(history) is tuple:
             history = self._history[text] = self._unpack(history, list, f"the history of {text!r}")
         return history
@@ -259,14 +259,11 @@ class LogNamer(FramedLog, MemoryNamer):
                     out[seq - 1] = BindingRecord(seq, action, name, Key(raw))
         return out
 
-    def _change(self, action: int, name: Name, key: Key) -> None:
-        history = self._history_of(name.text)  # before the append: it may raise
+    def _change(self, action: int, text: str, raw: bytes) -> None:
+        self._history_of(text)  # before the append: decoding it may raise
         seq = self._max_seq + 1
-        self._append_bytes(NAMER_LOG.record((seq, action), name.text.encode("utf-8"), key.raw))
-        self._max_seq = seq
-        self._history[name.text] = history
-        history.append((seq, action, key.raw))
-        super()._change(action, name, key)
+        self._append_bytes(NAMER_LOG.record((seq, action), text.encode("utf-8"), raw))
+        self._apply(seq, action, text, raw)
 
 
 def open_namer(path: str | os.PathLike) -> LogNamer:

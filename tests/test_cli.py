@@ -306,6 +306,23 @@ class TestProxyCommands:
         targets = doc.child_elements()
         assert [t.attr("address") for t in targets] == ["127.0.0.1:9001"]
 
+    def test_config_keeps_the_proxy_store_id(self, tmp_home, capsys):
+        """A saved proxy.xml records the proxy's id, so every command loads
+        the same store; one without an id gets a new id per command until
+        the next save writes one."""
+        tmp_home.mkdir()
+        (tmp_home / "proxy.xml").write_bytes(b'<proxy put-policy="local-first"/>')
+
+        def store_id():
+            assert main(["store-id", "--store", "proxy"]) == 0
+            return capsys.readouterr().out.strip()
+
+        assert store_id() != store_id()
+        assert main(["proxy", "add-target", "127.0.0.1:9"]) == 0
+        saved = store_id()
+        assert store_id() == saved
+        assert xml_parse((tmp_home / "proxy.xml").read_bytes()).attr("id") == saved
+
     def test_duplicate_and_unknown_targets(self, tmp_home, capsys):
         main(["proxy", "add-target", "127.0.0.1:9001"])
         assert main(["proxy", "add-target", "127.0.0.1:9001"]) == 1
@@ -447,6 +464,27 @@ class TestFragCommands:
         root_hex = capsysbinary.readouterr().out.decode().strip()
         assert main(["defrag", "--store", store_path, "--namer", namer, root_hex]) == 0
         assert capsysbinary.readouterr().out == LIBRARY_XML
+
+    @pytest.mark.parametrize("writer", ["proxy", "address"])
+    def test_self_mode_reads_back_through_the_proxy(
+            self, frag_files, tmp_home, capsysbinary, writer):
+        """A self-mode document fragmented through the configured proxy, or
+        through the served store it lists, reads back through --store proxy
+        in a later command: the proxy keeps its id in proxy.xml, and defrag
+        resolves an x-ref naming a target through the proxy."""
+        doc, schema = frag_files
+        server = serve(MemoryStore(), ("127.0.0.1", 0))
+        try:
+            address = f"127.0.0.1:{server.address[1]}"
+            assert main(["proxy", "add-target", address]) == 0
+            store = "proxy" if writer == "proxy" else address
+            assert main(["frag", "--store", store, "--mode", "self", "--schema", schema,
+                         doc]) == 0
+            root_hex = capsysbinary.readouterr().out.decode().strip()
+            assert main(["defrag", "--store", "proxy", root_hex]) == 0
+            assert capsysbinary.readouterr().out == LIBRARY_XML
+        finally:
+            server.stop()
 
     def test_name_mode_requires_prefix(self, frag_files, store_path, capsys):
         doc, schema = frag_files

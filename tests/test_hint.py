@@ -206,6 +206,10 @@ def test_hint_of_the_wrong_shape_falls_back(kind, tmp_path, caplog):
         b"\x01" + marshal.dumps((log_id, end, crc, "not a state")),
         b"\x01" + marshal.dumps((log_id, end, crc, (state[0],) + state)),
     ]
+    if kind is NamerKind:  # a live key list holding a str where key bytes belong
+        max_seq, live, history = state
+        live = {**live, next(iter(live)): ["not key bytes"]}
+        wrong.append(b"\x01" + marshal.dumps((log_id, end, crc, (max_seq, live, history))))
     for body in wrong:
         plain, hinted = open_both(kind, path, full, sidecar(body))
         assert same(plain, hinted) and not hinted[2], body

@@ -469,6 +469,26 @@ class TestLazyHistory:
                        for n in LAZY_NAMES]
             return namer.records(), namer.bindings(), history
 
+    @pytest.mark.parametrize("hinted", [True, False], ids=["hint", "replay"])
+    def test_open_builds_no_key(self, tmp_path, monkeypatch, hinted):
+        """An open installs the bindings as name text and key bytes: through
+        the hint it builds no Name and no Key; a replay builds no Key and
+        checks each distinct name once through Name."""
+        path = tmp_path / "n.namer"
+        records, bindings, _ = self._build(path)
+        if not hinted:
+            _hint_path(path).unlink()
+        built = []
+        for cls in (Key, Name):
+            monkeypatch.setattr(f"xbase.namer.{cls.__name__}",
+                                lambda *args, cls=cls: built.append(cls) or cls(*args))
+        namer = LogNamer.open(path)
+        monkeypatch.undo()
+        with namer:
+            assert (namer._hint_end != 0) == hinted
+            assert built == ([] if hinted else [Name] * 3)
+            assert (namer.records(), namer.bindings()) == (records, bindings)
+
     @staticmethod
     def _rewrite_history(path, rewrite):
         """Replace the hint's per-name history map by rewrite(map), keeping
