@@ -20,14 +20,15 @@ and per-name history), and a CRC32 of the sidecar itself. A host may keep
 parts of its state packed as marshal bytes, each with the count it must
 decode to, and decode a part only when first used: a store's keydir in
 256 buckets by key CRC32, a namer's history per name. Open trusts it
-only if its own CRC holds, it decodes to the expected shape, the ids match,
-the log is at least end bytes long, and one chunked CRC32 pass over
-[0, end) gives the stored prefix CRC; it then replays only the records past
-end, under the rules above. Anything else falls back to a full replay, so a
-changed byte anywhere in the log raises the same CorruptionError with or
-without a hint. A close rewrites the sidecar only when the log has grown
-past what a trusted hint covered, or no hint was trusted. The sidecar is
-never fsynced and is safe to delete; a torn one fails its own CRC.
+only if its own CRC holds, its format byte is HINT_FORMAT, it decodes to
+the expected shape, the ids match, the log is at least end bytes long, and
+one chunked CRC32 pass over [0, end) gives the stored prefix CRC; it then
+replays only the records past end, under the rules above. Anything else
+falls back to a full replay, so a changed byte anywhere in the log raises
+the same CorruptionError with or without a hint. A close rewrites the
+sidecar only when the log has grown past what a trusted hint covered, or
+no hint was trusted. The sidecar is never fsynced and is safe to delete; a
+torn one fails its own CRC.
 """
 from __future__ import annotations
 
@@ -46,7 +47,9 @@ from .core import CorruptionError, LogLockedError, StoreID
 
 logger = logging.getLogger(__name__)
 
-HINT_FORMAT = 0x01
+# 0x02: a store's keydir maps each key to offset << 32 | length (0x01 held
+# (offset, length) tuples); a hint of another format is replayed past
+HINT_FORMAT = 0x02
 _CRC_CHUNK = 1 << 18  # bytes per read of the prefix CRC pass
 
 
@@ -204,17 +207,21 @@ class FramedLog:
             return self._no_hint("format")
         return end, crc
 
-    def _unpack(self, packed: tuple[int, bytes], kind: type, what: str):
+    def _unpack(self, packed: tuple[int, bytes], kind: type, what: str,
+                values: type | None = None):
         """Decode a part that pack packed. It must be a kind of the packed
-        length; if not, raise CorruptionError naming the hint and what."""
+        length and, if values is given, a dict whose every value is of type
+        values; if not, raise CorruptionError naming the hint and what."""
         count, blob = packed
         try:
             part = marshal.loads(blob)
         except (EOFError, TypeError, ValueError):
             part = None
-        if type(part) is not kind or len(part) != count:
+        if not (type(part) is kind and len(part) == count and (
+                values is None or all(type(value) is values for value in part.values()))):
+            of = f" of {values.__name__}" if values else ""
             raise CorruptionError(f"{self._hint_path()}: {what} does not decode to"
-                                  f" {count} entries; delete the hint to replay the log")
+                                  f" {count} entries{of}; delete the hint to replay the log")
         return part
 
     def _no_hint(self, reason: str) -> tuple[int, int]:

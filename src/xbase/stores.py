@@ -5,9 +5,11 @@ Three layouts share one put/get engine:
 * MemoryStore    - transient, bindings held solely in memory
 * AppendLogStore - one append-only log file (see framedlog.py for its
                    framing, torn-tail recovery, locking and hint; the hint
-                   keeps the keydir in buckets decoded on first use)
+                   keeps the keydir in buckets decoded on first use); the
+                   keydir maps each key to one int, offset << 32 | length
 * FilePerKeyStore - one value file per binding, named by the key's hex form,
-                    written to a temporary name and renamed into place
+                    written to a temporary name and renamed into place; the
+                    index holds no path, since the key names the file
 
 Key policies: random (CSPRNG bytes), sequence (8-byte big-endian counter),
 content-hash (SHA-256 of the value, which deduplicates and lets independent
@@ -31,6 +33,7 @@ import secrets
 import struct
 import threading
 import zlib
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -356,13 +359,16 @@ class AppendLogStore(FramedLog, LocalStore):
     <log>.hint sidecar (the keydir and the highest 8-byte key) follow
     framedlog.py.
 
-    The hint splits the keydir into KEYDIR_BUCKETS buckets by the low byte
-    of zlib.crc32(key), each kept packed as (key count, marshal bytes of its
-    {key: (offset, length)}). An open through the hint decodes none of them:
-    a lookup merges the one bucket of its key into the index, and len,
-    keys() and bindings() merge them all, then restore log order by offset.
-    A packed bucket that does not decode to its count raises CorruptionError
-    then. Close packs again only the buckets it decoded.
+    The keydir maps each key to one int locator, offset << 32 | length,
+    where offset is where the value starts in the log (MAX_VALUE_LEN fits
+    the low 32 bits). The hint splits it into KEYDIR_BUCKETS buckets by the
+    low byte of zlib.crc32(key), each kept packed as (key count, marshal
+    bytes of its {key: locator}). An open through the hint decodes none of
+    them: a lookup merges the one bucket of its key into the index, and
+    len, keys() and bindings() merge them all, then restore log order by
+    sorting the locators. A packed bucket that does not decode to its count
+    of int locators raises CorruptionError then. Close packs again only the
+    buckets it decoded.
     """
 
     _format = STORE_LOG
@@ -396,7 +402,7 @@ class AppendLogStore(FramedLog, LocalStore):
             for start, _, key_bytes, value, end in records:
                 existing = self._locate(key_bytes)
                 if existing is None:
-                    index[key_bytes] = (end - 4 - len(value), len(value))
+                    index[key_bytes] = (end - 4 - len(value)) << 32 | len(value)
                 # a well-formed log never repeats a key; tolerate an exact
                 # duplicate record, keeping the first, but reject a rebinding
                 elif self._read(key_bytes, existing) != value:
@@ -423,38 +429,39 @@ class AppendLogStore(FramedLog, LocalStore):
             raise ValueError("unexpected store hint shape")
         self._top, self._packed = top, dict(enumerate(buckets))
 
-    def _locate(self, key_bytes: bytes) -> tuple[int, int] | None:
+    def _locate(self, key_bytes: bytes) -> int | None:
         if self._packed:
             number = zlib.crc32(key_bytes) % KEYDIR_BUCKETS
             if number in self._packed:
                 self._merge(number)
         return self._index.get(key_bytes)
 
-    def _entries(self) -> dict[bytes, tuple[int, int]]:
+    def _entries(self) -> dict[bytes, int]:
         if self._packed is not None:
             for number in list(self._packed):
                 self._merge(number)
-            # offsets grow with each record, so this is the log's order
-            self._index = dict(sorted(self._index.items(), key=lambda item: item[1][0]))
+            # offsets, the high bits of each locator, grow with each record,
+            # so the locators' order is the log's
+            self._index = dict(sorted(self._index.items(), key=itemgetter(1)))
             self._packed = None
         return self._index
 
     def _merge(self, number: int) -> None:
         """Decode packed bucket number into the index."""
-        self._index.update(self._unpack(self._packed[number], dict, f"keydir bucket {number}"))
+        self._index.update(self._unpack(self._packed[number], dict, f"keydir bucket {number}", int))
         del self._packed[number]
 
-    def _write(self, key_bytes: bytes, value: bytes) -> tuple[int, int]:
+    def _write(self, key_bytes: bytes, value: bytes) -> int:
         start = self._append_bytes(STORE_LOG.record((), key_bytes, value))
         if len(key_bytes) == 8 and key_bytes > self._top:
             self._top = key_bytes
-        return (start + 8 + len(key_bytes), len(value))
+        return (start + 8 + len(key_bytes)) << 32 | len(value)
 
-    def _read(self, key_bytes: bytes, locator: tuple[int, int]) -> bytes:
-        offset, length = locator
-        data = os.pread(self._fh.fileno(), length, offset)
+    def _read(self, key_bytes: bytes, locator: int) -> bytes:
+        length = locator & 0xFFFFFFFF
+        data = os.pread(self._fh.fileno(), length, locator >> 32)
         if len(data) != length:
-            raise CorruptionError(f"{self._path}: short read at offset {offset}")
+            raise CorruptionError(f"{self._path}: short read at offset {locator >> 32}")
         return data
 
 
@@ -468,7 +475,8 @@ class FilePerKeyStore(LocalStore):
     The file name is exactly the key's canonical hex plus ".bin"; values are
     written to a temporary name and renamed into place so a half-written
     file is never visible under its final name. Header bytes live in
-    store.meta. After reopen, iteration order is sorted by key hex (the
+    store.meta. The index maps each key to True, as the key alone names
+    its file. After reopen, iteration order is sorted by key hex (the
     original insertion order is not recorded on disk).
     """
 
@@ -502,24 +510,24 @@ class FilePerKeyStore(LocalStore):
         self._dir = directory
         return self
 
-    def _write(self, key_bytes: bytes, value: bytes) -> Path:
-        target = _file_per_key_path(self._dir, key_bytes)
-        _atomic_write(target, value)
-        return target
+    def _write(self, key_bytes: bytes, value: bytes) -> bool:
+        _atomic_write(_file_per_key_path(self._dir, key_bytes), value)
+        return True
 
-    def _read(self, key_bytes: bytes, locator: Path) -> bytes:
+    def _read(self, key_bytes: bytes, locator: bool) -> bytes:
+        path = _file_per_key_path(self._dir, key_bytes)
         try:
-            return locator.read_bytes()
+            return path.read_bytes()
         except FileNotFoundError:
-            raise CorruptionError(f"{locator}: value file disappeared") from None
+            raise CorruptionError(f"{path}: value file disappeared") from None
 
     @property
     def path(self) -> Path:
         return self._dir
 
 
-def _scan_value_files(directory: Path) -> dict[bytes, Path]:
-    entries: dict[bytes, Path] = {}
+def _scan_value_files(directory: Path) -> dict[bytes, bool]:
+    entries: dict[bytes, bool] = {}
     for child in sorted(directory.iterdir()):
         if child.name == META_FILENAME or child.name.startswith("."):
             continue
@@ -531,7 +539,7 @@ def _scan_value_files(directory: Path) -> dict[bytes, Path]:
             raise CorruptionError(f"{child}: file name is not a hex key") from None
         if not key_bytes or len(key_bytes) > MAX_KEY_LEN:
             raise CorruptionError(f"{child}: file name is not a valid key")
-        entries[key_bytes] = child
+        entries[key_bytes] = True
     return entries
 
 

@@ -198,18 +198,19 @@ def test_hint_of_the_wrong_shape_falls_back(kind, tmp_path, caplog):
     end, hint = hints[-1]
     log_id, _, crc, state = marshal.loads(hint[1:-4])
     path = tmp_path / "log"
+    fmt = bytes([framedlog.HINT_FORMAT])
     wrong = [
-        b"\x02" + hint[1:-4],  # an unknown format byte
-        b"\x01" + b"not marshal data",
-        b"\x01" + marshal.dumps((log_id, end, crc)),
-        b"\x01" + marshal.dumps((log_id, 0, 0, state)),  # an end inside the header
-        b"\x01" + marshal.dumps((log_id, end, crc, "not a state")),
-        b"\x01" + marshal.dumps((log_id, end, crc, (state[0],) + state)),
+        bytes([framedlog.HINT_FORMAT + 1]) + hint[1:-4],  # an unknown format byte
+        fmt + b"not marshal data",
+        fmt + marshal.dumps((log_id, end, crc)),
+        fmt + marshal.dumps((log_id, 0, 0, state)),  # an end inside the header
+        fmt + marshal.dumps((log_id, end, crc, "not a state")),
+        fmt + marshal.dumps((log_id, end, crc, (state[0],) + state)),
     ]
     if kind is NamerKind:  # a live key list holding a str where key bytes belong
         max_seq, live, history = state
         live = {**live, next(iter(live)): ["not key bytes"]}
-        wrong.append(b"\x01" + marshal.dumps((log_id, end, crc, (max_seq, live, history))))
+        wrong.append(fmt + marshal.dumps((log_id, end, crc, (max_seq, live, history))))
     for body in wrong:
         plain, hinted = open_both(kind, path, full, sidecar(body))
         assert same(plain, hinted) and not hinted[2], body
@@ -241,13 +242,13 @@ def test_hint_layout(tmp_path):
         keys = [store.put(b"%03d" % i) for i in range(300)]
     data = hint_of(path).read_bytes()
     log = path.read_bytes()
-    assert data[0] == 0x01
+    assert data[0] == 0x02
     assert int.from_bytes(data[-4:], "big") == crc32_reference(data[:-4])
     log_id, end, crc, (top, buckets) = marshal.loads(data[1:-4])
     assert log_id == log[5:21] and end == len(log)
     assert crc == crc32_reference(log)
     assert top == (300).to_bytes(8, "big")
-    # the keydir, in 256 buckets of (count, marshal bytes of {key: (offset, length)}),
+    # the keydir, in 256 buckets of (count, marshal bytes of {key: offset << 32 | length}),
     # each key in bucket crc32(key) & 255
     assert type(buckets) is list and len(buckets) == 256
     keydir = {}
@@ -257,7 +258,7 @@ def test_hint_layout(tmp_path):
         assert all(crc32_reference(key) & 255 == number for key in entries)
         keydir.update(entries)
     record = 4 + 8 + 4 + 3 + 4
-    assert keydir == {k.raw: (HEADER_LEN + i * record + 16, 3) for i, k in enumerate(keys)}
+    assert keydir == {k.raw: (HEADER_LEN + i * record + 16) << 32 | 3 for i, k in enumerate(keys)}
 
 
 def test_hint_is_trusted_under_another_hash_seed(tmp_path):

@@ -1,12 +1,15 @@
 """The keydir of an append log's hint, packed in buckets: a store opened
 through it behaves as one opened by a full replay, under every policy;
-a hint in the older one-dict layout is replayed past and rewritten; a
-bucket that does not decode to its count raises when first touched."""
+a hint in the older one-dict layout, or with (offset, length) locators,
+is replayed past and rewritten; a bucket that does not decode to its
+count of int locators raises when first touched. A binding costs one
+int locator, and a file-per-key binding none."""
 import hashlib
 import logging
 import marshal
 import random
 import re
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -14,9 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbase import stores
+from xbase import framedlog, stores
 from xbase.core import CorruptionError, Key, XbaseError
-from xbase.stores import KEYDIR_BUCKETS, AppendLogStore, ContentHashKeys, RandomKeys, SequenceKeys
+from xbase.framedlog import pack
+from xbase.stores import (
+    KEYDIR_BUCKETS,
+    AppendLogStore,
+    ContentHashKeys,
+    FilePerKeyStore,
+    RandomKeys,
+    SequenceKeys,
+)
 
 
 def hint_of(path):
@@ -29,7 +40,7 @@ def read_hint(path):
 
 
 def write_hint(path, fields):
-    body = b"\x01" + marshal.dumps(fields)
+    body = bytes([framedlog.HINT_FORMAT]) + marshal.dumps(fields)
     hint_of(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
 
 
@@ -155,7 +166,7 @@ def test_old_layout_hint_is_replayed_past_and_rewritten(tmp_path, caplog):
     keydir = {}
     for _, blob in buckets:
         keydir.update(marshal.loads(blob))
-    keydir = dict(sorted(keydir.items(), key=lambda item: item[1][0]))
+    keydir = dict(sorted(keydir.items(), key=lambda item: item[1]))
     write_hint(path, (log_id, end, crc, (top, keydir)))
     before = hint_of(path).stat().st_ino
     with AppendLogStore.open(path) as store:
@@ -169,18 +180,130 @@ def test_old_layout_hint_is_replayed_past_and_rewritten(tmp_path, caplog):
         assert [store.get(k) for k in keys] == [b"value %d" % i for i in range(len(keys))]
 
 
-@pytest.mark.parametrize("damage", ["count", "bytes"])
+def test_hint_of_tuple_locators_is_replayed_past_and_rewritten(tmp_path, caplog):
+    """A hint in the format before int locators (format byte 0x01, each
+    locator an (offset, length) tuple) is not trusted: the open logs
+    "(format)" and replays the whole log, every value reads back, and the
+    close rewrites the hint with the current format byte and int locators."""
+    caplog.set_level(logging.INFO, logger="xbase.framedlog")
+    path = tmp_path / "s.store"
+    keys = build(path)
+    log_id, end, crc, (top, buckets) = read_hint(path)
+    old = [pack({key: (locator >> 32, locator & 0xFFFFFFFF)
+                 for key, locator in marshal.loads(blob).items()}) for _, blob in buckets]
+    body = b"\x01" + marshal.dumps((log_id, end, crc, (top, old)))
+    hint_of(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
+    before = hint_of(path).stat().st_ino
+    with AppendLogStore.open(path) as store:
+        assert store._hint_end == 0
+        assert [store.get(k) for k in keys] == [b"value %d" % i for i in range(len(keys))]
+    assert f"{path}: hint not used (format); replaying the whole log" in caplog.messages
+    assert hint_of(path).stat().st_ino != before
+    assert hint_of(path).read_bytes()[0] == framedlog.HINT_FORMAT
+    _, _, _, (_, buckets) = read_hint(path)
+    assert all(type(locator) is int
+               for _, blob in buckets for locator in marshal.loads(blob).values())
+    caplog.clear()
+    with AppendLogStore.open(path) as store:
+        assert store._hint_end != 0
+        assert store.keys() == keys
+    assert caplog.messages == []
+
+
+def test_locators_are_ints(tmp_path):
+    """Each locator is the one int offset << 32 | length: after a put, after
+    a replay without a hint, and after a hint bucket is merged."""
+    path = tmp_path / "s.store"
+    keys = build(path, 20)
+    record = 4 + 8 + 4 + len(b"value 0") + 4
+
+    def check(store):
+        for i, key in enumerate(keys[:10]):
+            locator = store._locate(key.raw)
+            assert type(locator) is int
+            assert locator == (stores.HEADER_LEN + i * record + 4 + 8 + 4) << 32 | len(b"value 0")
+            assert store.get(key) == b"value %d" % i
+
+    with AppendLogStore.open(path) as store:  # through the hint
+        assert store._hint_end != 0
+        check(store)
+        assert all(type(locator) is int for locator in store._entries().values())
+        store.put(b"one more")
+        assert all(type(locator) is int for locator in store._index.values())
+    hint_of(path).unlink()
+    with AppendLogStore.open(path) as store:  # a replay
+        assert store._hint_end == 0
+        check(store)
+        assert all(type(locator) is int for locator in store._index.values())
+
+
+# bytes per binding that tracemalloc counts; the bounds lie between the
+# figures for (offset, length) tuple and Path locators (about 181 B for a
+# put and 396 B for a file-per-key binding on CPython 3.11) and those for
+# int and True locators (about 127 B and 95 B)
+PUT_BYTES_BOUND = 155
+FILE_PER_KEY_BYTES_BOUND = 200
+MEMORY_KEYS = 20_000
+
+
+def _traced(action):
+    """(bytes per binding of MEMORY_KEYS that action() leaves allocated,
+    what it returns)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = action()
+        return (tracemalloc.get_traced_memory()[0] - before) / MEMORY_KEYS, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_keydir_grown_by_puts_holds_one_int_per_binding(tmp_path):
+    values = [b"value %d" % i for i in range(MEMORY_KEYS)]
+
+    def put_all():
+        for value in values:
+            store.put(value)
+
+    with AppendLogStore.open(tmp_path / "s.store", policy="content-hash") as store:
+        per_binding, _ = _traced(put_all)
+        assert len(store) == MEMORY_KEYS
+    assert per_binding < PUT_BYTES_BOUND
+
+
+def test_file_per_key_index_holds_no_path(tmp_path):
+    directory = tmp_path / "f"
+    FilePerKeyStore.open(directory, policy="content-hash").close()
+    for i in range(MEMORY_KEYS):  # the value files a put writes, written directly
+        value = b"value %d" % i
+        (directory / f"{hashlib.sha256(value).hexdigest()}.bin").write_bytes(value)
+    per_binding, store = _traced(lambda: FilePerKeyStore.open(directory))
+    with store:
+        assert len(store) == MEMORY_KEYS
+        assert store.get(Key(hashlib.sha256(b"value 7").digest())) == b"value 7"
+    assert per_binding < FILE_PER_KEY_BYTES_BOUND
+
+
+@pytest.mark.parametrize("damage", ["count", "bytes", "locator"])
 def test_bad_bucket_raises_on_first_touch(tmp_path, damage):
     """Under a valid sidecar CRC, a bucket whose count does not match its
-    contents, or whose bytes do not decode, opens fine and raises
-    CorruptionError naming the hint when a lookup or a full view first
-    needs it, and on every later touch; other buckets still serve."""
+    contents, whose bytes do not decode, or which holds a locator that is
+    not an int, opens fine and raises CorruptionError naming the hint when
+    a lookup or a full view first needs it, and on every later touch;
+    other buckets still serve."""
     path = tmp_path / "s.store"
     keys = build(path)
     log_id, end, crc, (top, buckets) = read_hint(path)
     bad = keys[0]
     count, blob = buckets[bucket_of(bad)]
-    buckets[bucket_of(bad)] = (count + 1, blob) if damage == "count" else (count, b"\xff")
+    if damage == "count":
+        buckets[bucket_of(bad)] = (count + 1, blob)
+    elif damage == "bytes":
+        buckets[bucket_of(bad)] = (count, b"\xff")
+    else:  # the (offset, length) tuple of the format before int locators
+        entries = marshal.loads(blob)
+        entries[bad.raw] = (entries[bad.raw] >> 32, entries[bad.raw] & 0xFFFFFFFF)
+        buckets[bucket_of(bad)] = pack(entries)
     write_hint(path, (log_id, end, crc, (top, buckets)))
     good = next(k for k in keys if bucket_of(k) != bucket_of(bad))
     message = f"{hint_of(path)}: keydir bucket {bucket_of(bad)} does not decode"

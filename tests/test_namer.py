@@ -20,6 +20,7 @@ from xbase.core import (
     SeqOutOfRangeError,
     StoreID,
 )
+from xbase.framedlog import HINT_FORMAT
 from xbase.namer import (
     ACTION_BIND,
     ACTION_UNBIND,
@@ -495,7 +496,8 @@ class TestLazyHistory:
         its sidecar CRC valid."""
         hint = _hint_path(path)
         log_id, end, crc, (max_seq, live, history) = marshal.loads(hint.read_bytes()[1:-4])
-        body = b"\x01" + marshal.dumps((log_id, end, crc, (max_seq, live, rewrite(history))))
+        state = (max_seq, live, rewrite(history))
+        body = bytes([HINT_FORMAT]) + marshal.dumps((log_id, end, crc, state))
         hint.write_bytes(body + zlib.crc32(body).to_bytes(4, "big"))
 
     def test_hint_with_unpacked_histories_is_replayed_and_rewritten(self, tmp_path, caplog):
