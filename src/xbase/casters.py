@@ -115,6 +115,8 @@ class StoreCaster(Caster[MemoryStore]):
 
     The source must expose bindings(), policy, and get_store_id(), which all
     local store layouts do. Entry order in the image is the store's own
+    iteration order: insertion order in memory, log order in an append log,
+    and hex order of the keys in a file-per-key directory, which records no
     insertion order.
     """
 

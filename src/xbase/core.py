@@ -40,7 +40,8 @@ class KeyConflictError(XbaseError):
 
 
 class KeyMismatchError(XbaseError):
-    """An explicit key does not match the digest required by the key policy."""
+    """An explicit key this store cannot take: not the digest its key policy
+    requires, or too long for a file-per-key store's file name."""
 
 
 class KeyGenerationError(XbaseError):

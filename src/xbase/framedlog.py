@@ -219,10 +219,15 @@ class FramedLog:
             part = None
         if not (type(part) is kind and len(part) == count and (
                 values is None or all(type(value) is values for value in part.values()))):
-            of = f" of {values.__name__}" if values else ""
-            raise CorruptionError(f"{self._hint_path()}: {what} does not decode to"
-                                  f" {count} entries{of}; delete the hint to replay the log")
+            raise self._undecodable(what, count, values)
         return part
+
+    def _undecodable(self, what: str, count: int, values: type | None = None) -> CorruptionError:
+        """The error for a packed part, what, that does not decode to count
+        entries (each of type values, if given) the host can use."""
+        of = f" of {values.__name__}" if values else ""
+        return CorruptionError(f"{self._hint_path()}: {what} does not decode to"
+                               f" {count} entries{of}; delete the hint to replay the log")
 
     def _no_hint(self, reason: str) -> tuple[int, int]:
         logger.info("%s: hint not used (%s); replaying the whole log", self._path, reason)

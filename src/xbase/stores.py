@@ -8,8 +8,9 @@ Three layouts share one put/get engine:
                    keeps the keydir in buckets decoded on first use); the
                    keydir maps each key to one int, offset << 32 | length
 * FilePerKeyStore - one value file per binding, named by the key's hex form,
-                    written to a temporary name and renamed into place; the
-                    index holds no path, since the key names the file
+                    written to a temporary name and linked into place, so
+                    the first writer of a key wins in any process; the
+                    directory is the only index
 
 Key policies: random (CSPRNG bytes), sequence (8-byte big-endian counter),
 content-hash (SHA-256 of the value, which deduplicates and lets independent
@@ -27,6 +28,7 @@ final xor 0xFFFFFFFF, i.e. plain zlib.crc32).
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import secrets
@@ -86,6 +88,9 @@ class KeyPolicy:
 
     tag: int
     kind: str
+    # True if every key the policy mints is bound only to the value it was
+    # minted from, so a put that finds its key bound need not read it back
+    certifies = False
 
     def mint(self, value: bytes, bound: Callable[[bytes], bytes | None]) -> bytes:
         """The key for a put of value; bound(key) is the value key is bound
@@ -155,6 +160,7 @@ class ContentHashKeys(KeyPolicy):
 
     tag = POLICY_TAG_CONTENT_HASH
     kind = "content-hash"
+    certifies = True
 
     @staticmethod
     def digest(value: bytes) -> bytes:
@@ -189,12 +195,14 @@ def make_policy(policy: KeyPolicy | str | None) -> KeyPolicy:
 
 
 class LocalStore(Store):
-    """Shared engine over an insertion-ordered key index; subclasses persist.
+    """Shared engine over a key index; subclasses persist.
 
-    Subclasses implement _write(key_bytes, value) -> locator and
-    _read(key_bytes, locator) -> value. The engine reaches the index only
-    through _locate (one key) and _entries (all of them), which a subclass
-    may override to load the index lazily. All operations are linearizable:
+    Subclasses implement _write(key_bytes, value) -> bool, which binds
+    key_bytes to value and records the binding, or returns False if
+    another writer bound key_bytes first, and _read(key_bytes, locator) ->
+    value. The engine reaches the index only through _locate (one key) and
+    _entries (all of them), which a subclass may override to load the
+    index lazily or to read it from disk. All operations are linearizable:
     a single lock serializes writes and index updates.
     """
 
@@ -206,7 +214,7 @@ class LocalStore(Store):
         self._closed = False
 
     # subclass hooks
-    def _write(self, key_bytes: bytes, value: bytes) -> Any:
+    def _write(self, key_bytes: bytes, value: bytes) -> bool:
         raise NotImplementedError
 
     def _read(self, key_bytes: bytes, locator: Any) -> bytes:
@@ -216,10 +224,14 @@ class LocalStore(Store):
         check_value(value)
         with self._lock:
             self._check_open()
-            key_bytes = self._policy.mint(value, self._bound)
-            if self._locate(key_bytes) is None:
-                self._index[key_bytes] = self._write(key_bytes, value)
-            return Key(key_bytes)
+            while True:  # again only if another writer bound the key since mint
+                key_bytes = self._policy.mint(value, self._bound)
+                locator = self._locate(key_bytes)
+                if locator is None:
+                    if self._write(key_bytes, value):
+                        return Key(key_bytes)
+                elif self._policy.certifies or self._read(key_bytes, locator) == value:
+                    return Key(key_bytes)
 
     def get(self, key: Key) -> BitString:
         check_key(key)
@@ -252,11 +264,14 @@ class LocalStore(Store):
             self._check_open()
             self._policy.check(key, value)
             locator = self._locate(key.raw)
-            if locator is not None:
-                if self._read(key.raw, locator) == value:
-                    return  # identical binding already present
+            if locator is None:
+                if self._write(key.raw, value):
+                    return
+                bound = self._bound(key.raw)  # another writer bound it first
+            else:
+                bound = self._read(key.raw, locator)
+            if bound != value:
                 raise KeyConflictError(f"key {key.hex} is bound to a different value")
-            self._index[key.raw] = self._write(key.raw, value)
 
     def get_store_id(self) -> StoreID:
         with self._lock:
@@ -312,8 +327,7 @@ class LocalStore(Store):
 
     # the only two ways to the index
     def _locate(self, key_bytes: bytes) -> Any:
-        """The locator key_bytes is bound to, None if unbound; afterwards
-        _index[key_bytes] may be set to bind it."""
+        """The locator key_bytes is bound to, None if unbound."""
         return self._index.get(key_bytes)
 
     def _entries(self) -> dict[bytes, Any]:
@@ -327,8 +341,9 @@ class MemoryStore(LocalStore):
     def __init__(self, policy: KeyPolicy | str | None = None, store_id: StoreID | None = None):
         super().__init__(store_id or StoreID.generate(), make_policy(policy))
 
-    def _write(self, key_bytes: bytes, value: bytes) -> bytes:
-        return value
+    def _write(self, key_bytes: bytes, value: bytes) -> bool:
+        self._index[key_bytes] = value
+        return True
 
     def _read(self, key_bytes: bytes, locator: bytes) -> bytes:
         return locator
@@ -367,8 +382,8 @@ class AppendLogStore(FramedLog, LocalStore):
     them: a lookup merges the one bucket of its key into the index, and
     len, keys() and bindings() merge them all, then restore log order by
     sorting the locators. A packed bucket that does not decode to its count
-    of int locators raises CorruptionError then. Close packs again only the
-    buckets it decoded.
+    of int locators, each of a value inside the log the hint covers, raises
+    CorruptionError then. Close packs again only the buckets it decoded.
     """
 
     _format = STORE_LOG
@@ -447,15 +462,23 @@ class AppendLogStore(FramedLog, LocalStore):
         return self._index
 
     def _merge(self, number: int) -> None:
-        """Decode packed bucket number into the index."""
-        self._index.update(self._unpack(self._packed[number], dict, f"keydir bucket {number}", int))
+        """Decode packed bucket number into the index. Each locator must be
+        an int whose value lies inside the log the hint covers."""
+        packed, what = self._packed[number], f"keydir bucket {number}"
+        part = self._unpack(packed, dict, what, int)
+        end = self._hint_end
+        if not all(locator >= 0 and (locator >> 32) + (locator & 0xFFFFFFFF) <= end
+                   for locator in part.values()):
+            raise self._undecodable(what, packed[0], int)
+        self._index.update(part)
         del self._packed[number]
 
-    def _write(self, key_bytes: bytes, value: bytes) -> int:
+    def _write(self, key_bytes: bytes, value: bytes) -> bool:
         start = self._append_bytes(STORE_LOG.record((), key_bytes, value))
         if len(key_bytes) == 8 and key_bytes > self._top:
             self._top = key_bytes
-        return (start + 8 + len(key_bytes)) << 32 | len(value)
+        self._index[key_bytes] = (start + 8 + len(key_bytes)) << 32 | len(value)
+        return True
 
     def _read(self, key_bytes: bytes, locator: int) -> bytes:
         length = locator & 0xFFFFFFFF
@@ -465,19 +488,19 @@ class AppendLogStore(FramedLog, LocalStore):
         return data
 
 
-def _file_per_key_path(directory: Path, key_bytes: bytes) -> Path:
-    return directory / f"{key_bytes.hex()}.bin"
-
-
 class FilePerKeyStore(LocalStore):
-    """Persistent store keeping one value file per binding.
+    """Persistent store keeping one value file per binding, named by the
+    key's canonical hex plus ".bin". The directory is the only index, so
+    handles in any number of processes may share it.
 
-    The file name is exactly the key's canonical hex plus ".bin"; values are
-    written to a temporary name and renamed into place so a half-written
-    file is never visible under its final name. Header bytes live in
-    store.meta. The index maps each key to True, as the key alone names
-    its file. After reopen, iteration order is sorted by key hex (the
-    original insertion order is not recorded on disk).
+    A value is written to a temporary name and then linked to its final
+    name. The link fails if the name exists, so a half-written file is never
+    visible under a final name, and the first writer of a key wins. A key
+    is bound while its name exists: a file removed under an open store
+    reads as unbound, and keys list in hex order. store.meta holds the
+    header, linked into place the same way. A key too long for a file name
+    (over 125 bytes where names end at 255) raises KeyMismatchError.
+    Nothing is fsynced.
     """
 
     def __init__(self, *args, **kwargs):
@@ -490,34 +513,65 @@ class FilePerKeyStore(LocalStore):
         policy: KeyPolicy | str | None = None,
         store_id: StoreID | None = None,
     ) -> FilePerKeyStore:
+        """Open a store directory, or create one in a missing directory or
+        one that holds only dot files. store_id is honored only when
+        creating; of two creators, the first to link store.meta wins."""
         directory = Path(path)
         meta_path = directory / META_FILENAME
-        self = object.__new__(cls)
-        if meta_path.exists():
-            sid, extra = STORE_LOG.check_header(meta_path.read_bytes(), str(meta_path))
-            resolved = _header_policy(policy, extra, str(meta_path), str(directory))
-            LocalStore.__init__(self, sid, resolved)
-            self._index = _scan_value_files(directory)
-            resolved.resume(max((k for k in self._index if len(k) == 8), default=b""))
-        else:
-            if directory.exists() and any(directory.iterdir()):
+        names = os.listdir(directory) if directory.exists() else []
+        if META_FILENAME not in names:
+            if any(not name.startswith(".") for name in names):
                 raise CorruptionError(f"{directory}: not empty and no {META_FILENAME}")
-            resolved = make_policy(policy)
-            sid = store_id or StoreID.generate()
-            LocalStore.__init__(self, sid, resolved)
             directory.mkdir(parents=True, exist_ok=True)
-            _atomic_write(meta_path, STORE_LOG.header(sid, bytes([resolved.tag])))
+            header = STORE_LOG.header(store_id or StoreID.generate(), bytes([make_policy(policy).tag]))
+            _atomic_write(meta_path, header, link=True)  # False: another creator linked first
+        sid, extra = STORE_LOG.check_header(meta_path.read_bytes(), str(meta_path))
+        self = object.__new__(cls)
+        LocalStore.__init__(self, sid, _header_policy(policy, extra, str(meta_path), str(directory)))
         self._dir = directory
+        self._policy.resume(max((k for k in self._entries() if len(k) == 8), default=b""))
         return self
 
+    def _value_path(self, key_bytes: bytes) -> str:
+        return os.path.join(self._dir, f"{key_bytes.hex()}.bin")
+
+    def _locate(self, key_bytes: bytes) -> bool | None:
+        # lexists tests the name as link sees it: a dangling symlink holds it too
+        return True if os.path.lexists(self._value_path(key_bytes)) else None
+
+    def _entries(self) -> dict[bytes, bool]:
+        """Every value file's key, in hex order, mapped to True."""
+        entries: dict[bytes, bool] = {}
+        for name in sorted(os.listdir(self._dir)):
+            if name == META_FILENAME or name.startswith("."):
+                continue
+            stem, suffix = os.path.splitext(name)
+            if suffix != ".bin":
+                raise CorruptionError(f"{self._dir / name}: unexpected file in store directory")
+            try:
+                key_bytes = bytes.fromhex(stem)
+            except ValueError:
+                key_bytes = None
+            if key_bytes is None or key_bytes.hex() != stem:
+                raise CorruptionError(f"{self._dir / name}: file name is not a hex key")
+            if not key_bytes or len(key_bytes) > MAX_KEY_LEN:
+                raise CorruptionError(f"{self._dir / name}: file name is not a valid key")
+            entries[key_bytes] = True
+        return entries
+
     def _write(self, key_bytes: bytes, value: bytes) -> bool:
-        _atomic_write(_file_per_key_path(self._dir, key_bytes), value)
-        return True
+        try:
+            return _atomic_write(self._value_path(key_bytes), value, link=True)
+        except OSError as exc:
+            if exc.errno != errno.ENAMETOOLONG:
+                raise
+            raise KeyMismatchError(f"key {key_bytes.hex()} is too long for a file name") from None
 
     def _read(self, key_bytes: bytes, locator: bool) -> bytes:
-        path = _file_per_key_path(self._dir, key_bytes)
+        path = self._value_path(key_bytes)
         try:
-            return path.read_bytes()
+            with open(path, "rb") as fh:
+                return fh.read()
         except FileNotFoundError:
             raise CorruptionError(f"{path}: value file disappeared") from None
 
@@ -526,31 +580,23 @@ class FilePerKeyStore(LocalStore):
         return self._dir
 
 
-def _scan_value_files(directory: Path) -> dict[bytes, bool]:
-    entries: dict[bytes, bool] = {}
-    for child in sorted(directory.iterdir()):
-        if child.name == META_FILENAME or child.name.startswith("."):
-            continue
-        if child.suffix != ".bin":
-            raise CorruptionError(f"{child}: unexpected file in store directory")
-        try:
-            key_bytes = bytes.fromhex(child.stem)
-        except ValueError:
-            raise CorruptionError(f"{child}: file name is not a hex key") from None
-        if not key_bytes or len(key_bytes) > MAX_KEY_LEN:
-            raise CorruptionError(f"{child}: file name is not a valid key")
-        entries[key_bytes] = True
-    return entries
-
-
-def _atomic_write(target: Path, data: bytes) -> None:
-    tmp = target.parent / f".{target.name}.{secrets.token_hex(4)}.tmp"
+def _atomic_write(target: str | os.PathLike, data: bytes, link: bool = False) -> bool:
+    """Write data to a temporary file beside target, then move it to target:
+    by os.replace, which overwrites target, or if link, by os.link, which
+    leaves an existing target as it is and then returns False. A
+    half-written file is never visible under target, and the temporary file
+    never remains."""
+    tmp = os.path.join(os.path.dirname(target), f".{secrets.token_hex(8)}.tmp")
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        try:
+            (os.link if link else os.replace)(tmp, target)
+        except FileExistsError:
+            return False
+        return True
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 LAYOUTS = {"append-log": AppendLogStore, "file-per-key": FilePerKeyStore}

@@ -237,12 +237,12 @@ def test_locators_are_ints(tmp_path):
         assert all(type(locator) is int for locator in store._index.values())
 
 
-# bytes per binding that tracemalloc counts; the bounds lie between the
-# figures for (offset, length) tuple and Path locators (about 181 B for a
-# put and 396 B for a file-per-key binding on CPython 3.11) and those for
-# int and True locators (about 127 B and 95 B)
+# bytes per binding that tracemalloc counts; the put bound lies between
+# the figures for (offset, length) tuple and int locators (about 181 B and
+# 127 B on CPython 3.11); a file-per-key store holds no index, so an open
+# leaves well under a byte per value file (95 B when it held True per key)
 PUT_BYTES_BOUND = 155
-FILE_PER_KEY_BYTES_BOUND = 200
+FILE_PER_KEY_BYTES_BOUND = 16
 MEMORY_KEYS = 20_000
 
 
@@ -284,13 +284,14 @@ def test_file_per_key_index_holds_no_path(tmp_path):
     assert per_binding < FILE_PER_KEY_BYTES_BOUND
 
 
-@pytest.mark.parametrize("damage", ["count", "bytes", "locator"])
+@pytest.mark.parametrize("damage", ["count", "bytes", "locator", "negative", "past-end"])
 def test_bad_bucket_raises_on_first_touch(tmp_path, damage):
     """Under a valid sidecar CRC, a bucket whose count does not match its
     contents, whose bytes do not decode, or which holds a locator that is
-    not an int, opens fine and raises CorruptionError naming the hint when
-    a lookup or a full view first needs it, and on every later touch;
-    other buckets still serve."""
+    not an int, is negative, or whose value ends past the end the hint
+    covers, opens fine and raises CorruptionError naming the hint when a
+    lookup or a full view first needs it, and on every later touch; other
+    buckets still serve."""
     path = tmp_path / "s.store"
     keys = build(path)
     log_id, end, crc, (top, buckets) = read_hint(path)
@@ -300,9 +301,15 @@ def test_bad_bucket_raises_on_first_touch(tmp_path, damage):
         buckets[bucket_of(bad)] = (count + 1, blob)
     elif damage == "bytes":
         buckets[bucket_of(bad)] = (count, b"\xff")
-    else:  # the (offset, length) tuple of the format before int locators
+    else:
         entries = marshal.loads(blob)
-        entries[bad.raw] = (entries[bad.raw] >> 32, entries[bad.raw] & 0xFFFFFFFF)
+        locator = entries[bad.raw]
+        entries[bad.raw] = {
+            # the (offset, length) tuple of the format before int locators
+            "locator": (locator >> 32, locator & 0xFFFFFFFF),
+            "negative": -1,
+            "past-end": (end - 1) << 32 | 2,
+        }[damage]
         buckets[bucket_of(bad)] = pack(entries)
     write_hint(path, (log_id, end, crc, (top, buckets)))
     good = next(k for k in keys if bucket_of(k) != bucket_of(bad))

@@ -173,6 +173,17 @@ class TestContentHashPolicy:
             assert store.path.stat().st_size == size
             assert len(store) == 1
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_re_put_reads_nothing(self, layout, tmp_path, monkeypatch):
+        """The key of a value already present is its digest, so a re-put
+        returns it without reading the bound value back."""
+        with make_store(layout, tmp_path, "content-hash") as store:
+            key = store.put(b"once")
+            reads = []
+            monkeypatch.setattr(store, "_read", lambda *args: reads.append(args))
+            assert store.put(b"once") == key
+            assert reads == []
+
     def test_put_with_key_requires_digest(self):
         store = MemoryStore(policy="content-hash")
         good = hashlib.sha256(b"v").digest()
@@ -271,13 +282,56 @@ def test_monotonicity_under_many_puts():
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_put_with_key_semantics(layout, tmp_path):
     with make_store(layout, tmp_path, "random") as store:
-        key = Key(b"\x42" * 3)
-        store.put_with_key(b"v1", key)
-        assert store.get(key) == b"v1"
-        store.put_with_key(b"v1", key)  # identical binding: no-op
-        with pytest.raises(KeyConflictError):
-            store.put_with_key(b"v2", key)
-        assert store.get(key) == b"v1"
+        for key_len in (3, 118, 119, 125, 126, 1024):
+            key = Key(bytes([key_len % 256]) * key_len)
+            if layout == "file-per-key" and key_len > 125:
+                # the file name, 2 * key_len + 4 bytes, would pass the 255 a name may hold
+                with pytest.raises(KeyMismatchError, match="too long for a file name"):
+                    store.put_with_key(b"v1", key)
+                assert key not in store
+                continue
+            store.put_with_key(b"v1", key)
+            assert store.get(key) == b"v1"
+            store.put_with_key(b"v1", key)  # identical binding: no-op
+            with pytest.raises(KeyConflictError):
+                store.put_with_key(b"v2", key)
+            assert store.get(key) == b"v1"
+        if layout == "file-per-key":
+            assert not list(store.path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("layout", ("memory", "append-log"))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_engine_calls_of_puts_on_an_index_in_memory(layout, policy, tmp_path, monkeypatch):
+    """With the index in memory, a put looks its key up once after mint
+    (which looks it up too, unless the key is the value's digest) and
+    writes once; a re-put under content-hash only looks up; a put_with_key
+    looks up, then writes or reads the bound value back."""
+    with make_store(layout, tmp_path, policy) as store:
+        calls = []
+        for name in ("_locate", "_read", "_write"):
+            def record(*args, name=name, method=getattr(store, name)):
+                calls.append(name)
+                return method(*args)
+            monkeypatch.setattr(store, name, record)
+
+        def calls_of(action):
+            calls.clear()
+            action()
+            return [name.strip("_") for name in calls]
+
+        minted = ["locate"] if policy == "content-hash" else ["locate", "locate"]
+        assert calls_of(lambda: store.put(b"new")) == minted + ["write"]
+        if policy == "content-hash":
+            assert calls_of(lambda: store.put(b"new")) == ["locate"]
+        key = Key(hashlib.sha256(b"v").digest())
+        assert calls_of(lambda: store.put_with_key(b"v", key)) == ["locate", "write"]
+        assert calls_of(lambda: store.put_with_key(b"v", key)) == ["locate", "read"]
+        if policy != "content-hash":
+            calls.clear()
+            with pytest.raises(KeyConflictError):
+                store.put_with_key(b"w", key)
+            assert [name.strip("_") for name in calls] == ["locate", "read"]
 
 
 @pytest.mark.parametrize("layout", ("append-log", "file-per-key"))
@@ -454,9 +508,14 @@ class TestFilePerKey:
     def test_foreign_file_is_corruption(self, tmp_path):
         store = FilePerKeyStore.open(tmp_path / "d", policy="random")
         store.close()
-        (tmp_path / "d" / "notes.txt").write_text("hello")
-        with pytest.raises(CorruptionError):
-            FilePerKeyStore.open(tmp_path / "d")
+        # a name that is not a key's canonical hex would list a key that
+        # no lookup finds
+        for name, message in (("notes.txt", "unexpected file"), ("AA.bin", "not a hex key"),
+                              ("aa bb.bin", "not a hex key"), ("xy.bin", "not a hex key")):
+            (tmp_path / "d" / name).write_text("hello")
+            with pytest.raises(CorruptionError, match=message):
+                FilePerKeyStore.open(tmp_path / "d")
+            (tmp_path / "d" / name).unlink()
 
     def test_empty_dir_initializes_fresh(self, tmp_path):
         (tmp_path / "d").mkdir()
