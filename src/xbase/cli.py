@@ -9,15 +9,21 @@ Store selection (--store): a filesystem path, the literal "root" for the
 per-user bootstrap store, "host:port" for a served store, or "proxy" for
 the proxy configured under the home directory. Values come from --hex,
 --file, or stdin.
+
+Parsing: _COMMANDS is the one table of commands and their arguments. main
+reads a plain argv straight from it (_read_plain) and builds no parser;
+every other argv, help and errors included, goes to the argparse parser
+built from the same table (build_parser), so output and exit codes are
+argparse's. argparse is imported only then.
 """
 from __future__ import annotations
 
-import argparse
 import logging
 import sys
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .casters import store_reflect, store_reify
 from .core import (
@@ -45,6 +51,9 @@ from .stores import LAYOUTS, POLICIES, AppendLogStore, _atomic_write, get_root_s
 from .xmldoc import Element, xml_parse, xml_serialize
 from .xmlfrag import FragSchema, MODE_NAME, defragment, fragment
 
+if TYPE_CHECKING:
+    import argparse
+
 PROXY_CONFIG_FILENAME = "proxy.xml"
 
 logger = logging.getLogger(__name__)
@@ -60,28 +69,21 @@ _IO_ERRORS = (
 )
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command."""
-    return _parser(None)
+    """The parser of every command, built from _COMMANDS. main parses with it
+    every argv that _read_plain declines."""
+    import argparse  # here, not at the top: a plain command does not pay for it
 
+    class ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):  # argparse defaults to exit code 2; we use 1
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
 
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The top-level parser with the subparser of command only, or of every
-    command if None. Only the invoked command's subparser is ever used, so
-    the two parse alike; the usage line names every command either way."""
-    parser = _ArgumentParser(prog="xbase", description=__doc__.splitlines()[0])
+    parser = ArgumentParser(prog="xbase", description=__doc__.splitlines()[0])
     parser.add_argument("--home", help="override the data directory (else XBASE_HOME)")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if command is None else _CHOICES)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            _add_arguments(sub.add_parser(name, help=help_text), arguments)
+        _add_arguments(sub.add_parser(name, help=help_text), arguments)
     return parser
 
 
@@ -117,29 +119,72 @@ def _proxy_commands(parser: argparse.ArgumentParser) -> None:
     proxy_sub.add_parser("list", help="print target addresses, one per line")
 
 
-class _NotFound(Exception):
-    """The top level of argv does not parse; the full parser reports why."""
-
-
-class _CommandFinder(argparse.ArgumentParser):
-    def error(self, message):
-        raise _NotFound
-
-
-def _invoked_command(argv: list[str]) -> str | None:
-    """The command argv invokes, found by argparse under the same top-level
-    options as the full parser: None for help, for no or an unknown
-    command, and for a top level that does not parse."""
-    finder = _CommandFinder(add_help=False)
-    finder.add_argument("-h", "--help", action="store_true")
-    finder.add_argument("--home")
-    finder.add_argument("command", nargs=argparse.PARSER)  # the command and all after it
-    try:
-        args, _ = finder.parse_known_args(argv)
-    except _NotFound:
+def _option(argv: list[str], i: int, flags) -> tuple[str, str, int] | None:
+    """The flag at argv[i], one of flags exactly, given as --flag value or
+    --flag=value: (flag, value, index after the value). None for any other
+    token, a missing value or a value that starts with "-"."""
+    flag, equals, value = argv[i].partition("=")
+    if flag not in flags:
         return None
-    command = args.command[0]
-    return None if args.help or command not in _COMMANDS else command
+    if not equals:
+        i += 1
+        if i == len(argv):
+            return None
+        value = argv[i]
+    return None if value.startswith("-") else (flag, value, i + 1)
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser().parse_args(argv) would give, read from
+    _COMMANDS without argparse, for a plain argv: an optional leading --home,
+    a command named exactly, that command's own long flags named exactly, and
+    positionals that do not start with "-". It checks the positional count,
+    choices, required flags and types as argparse does. Anything else, valid
+    or not, it declines with None: help, errors, abbreviations, "--", values
+    that start with "-", and proxy's subcommands are argparse's to parse."""
+    args, i = SimpleNamespace(home=None), 0
+    if argv and (home := _option(argv, 0, ("--home",))):
+        _, args.home, i = home
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        return None
+    args.command = argv[i]
+    flags, positionals = {}, []
+    for argument in _COMMANDS[args.command][2]:
+        if callable(argument):
+            return None  # subcommands of its own
+        name, spec = argument
+        if name.startswith("--"):
+            dest = spec.get("dest", name[2:].replace("-", "_"))
+            flags[name] = dest, spec
+            setattr(args, dest, spec.get("default"))
+        else:
+            positionals.append((name, spec))
+    given, pending, i = set(), iter(positionals), i + 1
+    while i < len(argv):
+        if argv[i].startswith("-"):
+            option = _option(argv, i, flags)
+            if option is None:
+                return None
+            flag, value, i = option
+            given.add(flag)
+            dest, spec = flags[flag]
+        else:
+            positional = next(pending, None)
+            if positional is None:
+                return None  # one too many
+            (dest, spec), value, i = positional, argv[i], i + 1
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        setattr(args, dest, value)
+    if next(pending, None) or any(spec.get("required") and flag not in given
+                                  for flag, (_, spec) in flags.items()):
+        return None
+    return args
 
 
 def _read_value(args) -> bytes:
@@ -386,7 +431,8 @@ def _cmd_import_store(args) -> int:
     return 0
 
 
-# command -> (handler, help, arguments as _add_arguments takes them)
+# command -> (handler, help, arguments as _add_arguments takes them and
+# _read_plain reads them)
 _COMMANDS = {
     "put": (_cmd_put, "store a value, print its key", _STORE + _VALUE),
     "get": (_cmd_get, "print a stored value",
@@ -417,16 +463,16 @@ _COMMANDS = {
         ("path", dict(help="destination store path (must not exist)")),
     )),
 }
-# the subcommand list as argparse writes it in the full parser's usage line
-_CHOICES = "{%s}" % ",".join(_COMMANDS)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parser(_invoked_command(argv)).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command][0](args)
     except _IO_ERRORS as exc:

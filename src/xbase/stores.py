@@ -92,9 +92,12 @@ class KeyPolicy:
     # minted from, so a put that finds its key bound need not read it back
     certifies = False
 
-    def mint(self, value: bytes, bound: Callable[[bytes], bytes | None]) -> bytes:
-        """The key for a put of value; bound(key) is the value key is bound
-        to in the store, None if unbound. A bound key is not written again."""
+    def mint(self, value: bytes, locate: Callable[[bytes], Any],
+             read: Callable[[bytes, Any], bytes]) -> bytes:
+        """The key for a put of value. locate(key) is where the store holds
+        key's value, None if key is unbound, and read(key, locator) that
+        value; a policy reads only what it must compare. A bound key is not
+        written again."""
         raise NotImplementedError
 
     def check(self, key: Key, value: bytes) -> None:
@@ -114,10 +117,11 @@ class RandomKeys(KeyPolicy):
     tag = POLICY_TAG_RANDOM
     kind = "random"
 
-    def mint(self, value, bound):
+    def mint(self, value, locate, read):
         for _ in range(MAX_RANDOM_RETRIES):
             key_bytes = secrets.token_bytes(16)
-            if bound(key_bytes) in (None, value):
+            locator = locate(key_bytes)
+            if locator is None or read(key_bytes, locator) == value:
                 return key_bytes  # unused, or collided with an identical binding
         raise KeyGenerationError(f"no unused random key after {MAX_RANDOM_RETRIES} attempts")
 
@@ -137,11 +141,11 @@ class SequenceKeys(KeyPolicy):
             raise ValueError("next_seq must be an unsigned 64-bit value >= 1")
         self.next_seq = next_seq
 
-    def mint(self, value, bound):
+    def mint(self, value, locate, read):
         while self.next_seq <= _U64_MAX:
             key_bytes = struct.pack(">Q", self.next_seq)
             self.next_seq += 1
-            if bound(key_bytes) is None:
+            if locate(key_bytes) is None:  # a bound key is skipped unread
                 return key_bytes
         raise KeyGenerationError("sequence key space exhausted")
 
@@ -166,7 +170,7 @@ class ContentHashKeys(KeyPolicy):
     def digest(value: bytes) -> bytes:
         return hashlib.sha256(value).digest()
 
-    def mint(self, value, bound):
+    def mint(self, value, locate, read):
         return self.digest(value)
 
     def check(self, key, value):
@@ -225,7 +229,7 @@ class LocalStore(Store):
         with self._lock:
             self._check_open()
             while True:  # again only if another writer bound the key since mint
-                key_bytes = self._policy.mint(value, self._bound)
+                key_bytes = self._policy.mint(value, self._locate, self._read)
                 locator = self._locate(key_bytes)
                 if locator is None:
                     if self._write(key_bytes, value):

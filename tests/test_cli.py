@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, stdout discipline, command behavior."""
 import errno
+import functools
 import io
 import logging
 import os
@@ -9,9 +10,12 @@ import socket
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xbase.home
 from xbase import cli, stores
@@ -186,7 +190,7 @@ class TestArgparseBehavior:
         assert "usage" in capsys.readouterr().out
 
 
-# argv lists whose parse must not depend on which parser parses them:
+# argv lists the table reader must read as argparse does, or leave to it:
 # help, errors and the top-level options, before and after the command
 _ARGVS = [
     [], ["--help"], ["-h"], ["--he"], ["--h", "put"], ["--help", "put"],
@@ -199,11 +203,84 @@ _ARGVS = [
     ["proxy", "list"], ["proxy", "frob"], ["proxy", "add-target"],
     ["frag", "doc"], ["frag", "--mode", "bad", "--schema", "s", "doc"],
     ["put", "--policy", "seq"], ["put", "--store", "s", "--hex", "01", "--policy", "sequence"],
+    ["put", "--hex=-1"], ["get", "--out", "-", "ab"], ["get", "--", "ab"],
+    ["lookup-as-of", "n", "+7"], ["bind", "n", "--namer=m", ""],
+]
+# the argvs in _ARGVS that the table reader reads; argparse parses the rest
+_PLAIN = [
+    ["put"], ["--home", "put", "get", "ab"], ["--home=h", "get", "ab", "--out", "o"],
+    ["put", "--store", "s", "--hex", "01", "--policy", "sequence"],
+    ["lookup-as-of", "n", "+7"], ["bind", "n", "--namer=m", ""],
 ]
 
 
+def _parsed(parser, argv):
+    """The attributes parser.parse_args(argv) gives, None if it exits; what
+    it prints is dropped."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _read(argv):
+    args = cli._read_plain(argv)
+    return None if args is None else vars(args)
+
+
+_full_parser = functools.cache(cli.build_parser)  # one parser for every draw
+
+
+_VALUES = ["ab", "01", "7", "+7", "-1", "-x", "", "x y", "a=b", "put", "--", "-", "=", "root"]
+
+
+@st.composite
+def _command_argvs(draw):
+    """An argv built from one command's table entry: each flag present or
+    not, exact, with a space or =, values from the table's choices or from
+    _VALUES, each positional once, in any order; then often one change
+    that argparse reads otherwise or rejects: a token repeated, dropped or
+    added, a flag abbreviated, or a top-level prefix."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    words = []
+    for argument in cli._COMMANDS[command][2]:
+        if callable(argument):
+            words.append([draw(st.sampled_from(["list", "add-target", "remove-target", "x"]))])
+            continue
+        name, spec = argument
+        value = draw(st.sampled_from(list(spec.get("choices", ())) * 4 + _VALUES))
+        if not name.startswith("-"):
+            words.append([value])
+        elif draw(st.booleans()):
+            words.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    argv = [command] + [w for word in draw(st.permutations(words)) for w in word]
+    change = draw(st.sampled_from(["none", "repeat", "drop", "add", "abbreviate", "prefix"]))
+    i = draw(st.integers(0, len(argv)))
+    if change == "repeat" and i < len(argv):
+        argv.insert(i, argv[i])
+    elif change == "drop" and i < len(argv):
+        del argv[i]
+    elif change == "add":
+        argv.insert(i, draw(st.sampled_from(["--", "-h", "--help", "-1", "", "x", "--home",
+                                             "--store", "--hex=", "--mode"])))
+    elif change == "abbreviate" and i < len(argv) and argv[i].startswith("--"):
+        argv[i] = argv[i][:5]
+    elif change == "prefix":
+        argv[:0] = draw(st.sampled_from([["--home", "h"], ["--home=h"], ["--home=-h"],
+                                         ["--hom", "h"], ["--home"], ["-h"], ["--"],
+                                         ["--home", "h", "--home", "g"], ["--home", ""]]))
+    return argv
+
+
+_TOKENS = (list(cli._COMMANDS) + ["--home", "--hom", "--help", "-h", "--", "-1", "", "-",
+                                  "--store", "--st", "--hex=01", "--out", "--schema", "--mode",
+                                  "--policy=sequence", "--namer", "ab", "n", "5"])
+
+
 class TestParser:
-    """main builds only the invoked command's subparser."""
+    """main reads a plain argv from the command table, and hands every
+    other argv to the full argparse parser."""
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_command_help(self, command, capsys):
@@ -232,18 +309,76 @@ class TestParser:
         assert (tmp_path / home / "root.store").is_file()
         assert not tmp_home.exists()
 
-    def test_same_parse_as_the_full_parser(self, capsys):
-        """Namespace or exit status, stdout and stderr."""
-        def parse(parser, argv):
-            try:
-                result = sorted(vars(parser.parse_args(argv)).items())
-            except SystemExit as exc:
-                result = exc.code
-            return result, capsys.readouterr()
-
+    def test_same_parse_as_the_full_parser(self):
+        """The reader gives the attributes argparse gives, or declines."""
         for argv in _ARGVS:
-            full = parse(cli.build_parser(), argv)
-            assert parse(cli._parser(cli._invoked_command(argv)), argv) == full, argv
+            read = _read(argv)
+            assert read is None or read == _parsed(_full_parser(), argv), argv
+        assert [argv for argv in _ARGVS if _read(argv) is not None] == _PLAIN
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.one_of(_command_argvs(), st.lists(st.sampled_from(_TOKENS), max_size=6)))
+    def test_reader_agrees_with_argparse(self, argv):
+        read = _read(argv)
+        if read is not None:
+            assert read == _parsed(_full_parser(), argv)
+
+    def test_same_output_as_argparse_alone(self, tmp_home, tmp_path, monkeypatch, capsysbinary):
+        """main gives the exit code, stdout and stderr it gives when argparse
+        parses every argv, each side in a directory and home of its own,
+        with empty stdin."""
+        def run(side, i, argv):
+            where = tmp_path / side / str(i)
+            where.mkdir(parents=True)
+            monkeypatch.chdir(where)
+            monkeypatch.setenv("XBASE_HOME", str(where / "home"))
+            monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BytesIO()))
+            return main(argv), capsysbinary.readouterr()
+
+        for i, argv in enumerate(_ARGVS):
+            read = run("read", i, argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_read_plain", lambda argv: None)
+                assert run("argparse", i, argv) == read, argv
+
+    def test_plain_commands_build_no_parser(self, tmp_path, monkeypatch, capsys):
+        """Every command but proxy runs from plain argv with no argparse
+        parser built."""
+        import argparse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        def interrupt(server):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        monkeypatch.setattr(cli.StoreServer, "serve_forever", interrupt)
+        store, namer = str(tmp_path / "s"), str(tmp_path / "n")
+        (tmp_path / "doc.xml").write_bytes(LIBRARY_XML)
+        (tmp_path / "schema.xml").write_bytes(LIBRARY_SCHEMA)
+        ran = set()
+
+        def run(*argv):
+            assert main(list(argv)) == 0, argv
+            ran.add(argv[2] if argv[0] == "--home" else argv[0])
+            return capsys.readouterr().out.strip()
+
+        key = run("--home", str(tmp_path / "home"), "put", "--store", store, "--hex=0102")
+        assert run("get", "--store", store, key) == "\x01\x02"
+        run("put-with-key", "--store", store, "--hex", "ff", "0a0b")
+        run("store-id", "--store", store)
+        run("bind", "--namer", namer, "doc", key)
+        assert run("lookup", "--namer", namer, "doc") == key
+        assert run("lookup-as-of", f"--namer={namer}", "doc", "1") == key
+        run("unbind", "--namer", namer, "doc", key)
+        root = run("frag", "--store", store, "--schema", str(tmp_path / "schema.xml"),
+                   "--mode", "key", str(tmp_path / "doc.xml"))
+        assert run("defrag", "--store", store, root) == LIBRARY_XML.decode()
+        (tmp_path / "image.xml").write_text(run("export-store", store))
+        run("import-store", str(tmp_path / "image.xml"), str(tmp_path / "copy"))
+        run("serve", store, "127.0.0.1:0")
+        assert ran == set(cli._COMMANDS) - {"proxy"}
 
 
 class TestNamerCommands:

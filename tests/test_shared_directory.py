@@ -99,6 +99,23 @@ def test_two_handles_in_one_process(tmp_path):
         assert b.get(key) == b"from a"
 
 
+def test_a_sequence_put_skips_keys_bound_elsewhere_unread(tmp_path, monkeypatch):
+    """A handle whose counter catches up past keys another handle bound
+    tests each key's file name and reads none of the values."""
+    directory = tmp_path / "d"
+    with FilePerKeyStore.open(directory, policy="sequence") as late, \
+            FilePerKeyStore.open(directory) as busy:
+        for i in range(5000):
+            busy.put(b"busy %d" % i)
+        reads = []
+        read = FilePerKeyStore._read
+        monkeypatch.setattr(FilePerKeyStore, "_read",
+                            lambda self, *args: reads.append(args) or read(self, *args))
+        assert late.put(b"late") == seq_key(5001)
+        assert reads == []
+        assert busy.get(seq_key(5001)) == b"late"
+
+
 def test_two_processes_put(tmp_path):
     directory = tmp_path / "d"
     FilePerKeyStore.open(directory, policy="sequence").close()
