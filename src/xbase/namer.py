@@ -212,7 +212,8 @@ class LogNamer(FramedLog, MemoryNamer):
         if not (type(max_seq) is int and type(live) is dict and type(history) is dict
                 and all_packed(history.values())
                 and sum(count for count, _ in history.values()) == max_seq
-                and all(type(t) is str and type(r) is list and all(type(b) is bytes for b in r)
+                and all(type(t) is str and type(r) is list
+                        and all(type(b) is bytes and 0 < len(b) <= MAX_KEY_LEN for b in r)
                         for t, r in live.items())):
             raise ValueError("unexpected namer hint shape")
         self._max_seq, self._history = max_seq, history
@@ -220,10 +221,20 @@ class LogNamer(FramedLog, MemoryNamer):
 
     def _history_of(self, text: str) -> list:
         """The history of the name text, decoded and installed on first use
-        if the hint left it packed; a new list if the name has none."""
+        if the hint left it packed; a new list if the name has none. Each
+        decoded entry must be a record the log could hold: (seq up to
+        max_seq, BIND or UNBIND, key bytes)."""
         history = self._history.get(text, [])
         if type(history) is tuple:
-            history = self._history[text] = self._unpack(history, list, f"the history of {text!r}")
+            what = f"the history of {text!r}"
+            decoded = self._unpack(history, list, what)
+            if not all(type(entry) is tuple and len(entry) == 3
+                       and type(entry[0]) is int and 0 < entry[0] <= self._max_seq
+                       and entry[1] in (ACTION_BIND, ACTION_UNBIND)
+                       and type(entry[2]) is bytes and 0 < len(entry[2]) <= MAX_KEY_LEN
+                       for entry in decoded):
+                raise self._undecodable(what, history[0])
+            history = self._history[text] = decoded
         return history
 
     @property

@@ -12,18 +12,22 @@ each distinct fragment is fetched once per call, and parsed once per call
 unless the memo holds it. Neither direction recurses, so nesting depth is
 limited only by memory.
 
-The memo holds the fragments this process wrote, in the form defragment
-reads, under the bytes fragment serialized; as parse(serialize(node)) ==
-node, it needs no store identity and sees every edit, since each call
-still fetches every fragment and looks up every name. It is a
-least-recently-used map shared by all threads, holding at most 512 KiB of
-fragment bytes and 16 384 parsed parts (elements, attributes and text
-nodes), so it holds a few MB of trees at most. A document holding a
-subclass of Element or Text adds nothing. defragment adds nothing either:
-bytes this process did not write, such as those xbase defrag reads after
-xbase frag ran in another process, are parsed on every call. So a
-defragmented document may share immutable subtrees with earlier results
-and with the document passed to fragment.
+The memo holds what the latest fragment call wrote: each distinct
+fragment's bytes, mapped to the tree fragment built for them, in the form
+defragment reads. The call builds it as it writes and publishes it, by one
+assignment, when it returns; a published memo is never changed, so threads
+read it without a lock. As parse(serialize(node)) == node, it needs no
+store identity and sees every edit, since each call still fetches every
+fragment and looks up every name. A call that wrote over 512 KiB of
+distinct fragment bytes or 16 384 parts (the document's elements,
+attributes and text nodes, plus the x-refs it placed), or whose document
+holds a subclass of Element or Text, publishes an empty memo; a call that
+raises leaves the memo as it was. defragment adds nothing, so a process
+that fragments A, then B, then reads A parses A, and bytes this process
+did not write, such as those xbase defrag reads after xbase frag ran in
+another process, are parsed on every call. A defragmented document may
+share immutable subtrees with earlier results and with the document
+passed to fragment.
 
 References come in three modes:
 
@@ -42,8 +46,6 @@ children take precedence over the wildcard when matching.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
@@ -249,14 +251,18 @@ def fragment(
     if not isinstance(doc, Element):
         raise TypeError("document root must be an element")
     node_types = {type(doc)}
+    parts = 1  # the root, then each element's attributes and children
     for element in iter_elements(doc):
         if element.name == XREF_NAME:
             raise ReservedElementError(
                 f"input documents must not contain <{XREF_NAME}> elements"
             )
+        parts += len(element.attributes) + len(element.children)
         node_types.update(map(type, element.children))
     # a subclass need not survive the round trip, so only plain nodes go to the memo
-    plain = node_types <= {Element, Text}
+    memo: dict[bytes, _Fragment] | None = (
+        {} if node_types <= {Element, Text} and parts <= _MEMO_PARTS else None)
+    size = 0
     root_snode = schema.root
     if root_snode.element_name not in (WILDCARD, doc.name):
         raise SchemaMismatchError(
@@ -276,12 +282,15 @@ def fragment(
         ]
         data = [xml_serialize(body) for body in bodies]
         keys = store.put_many(data)
-        if plain:
+        if memo is not None:
             # x-refs sit only in an expanded body's own children
             for piece, body, value in zip(level, bodies, data):
-                refs = piece.refs or ()
-                _memo.add(value, _Fragment(body, refs, (id(body),) if refs else ()),
-                          _parts(body))
+                if value not in memo:
+                    size += len(value)
+                    refs = piece.refs or ()
+                    memo[value] = _Fragment(body, refs, (id(body),) if refs else ())
+            if size > _MEMO_BYTES:
+                memo = None
         for piece, key in zip(level, keys):
             if mode == MODE_NAME:
                 name = Name(name_prefix + "/" + piece.path)
@@ -295,6 +304,9 @@ def fragment(
                 xref = _trusted(Element, name=XREF_NAME, attributes=attributes, children=())
                 piece.parent.body[piece.slot] = xref
                 piece.parent.refs.append(xref)
+                parts += 1 + len(attributes)
+    global _memo
+    _memo = memo if memo is not None and parts <= _MEMO_PARTS else {}
     return name if mode == MODE_NAME else key
 
 
@@ -310,9 +322,19 @@ class _Fragment(NamedTuple):
     holders: Collection[int]
 
 
+# What the latest fragment call wrote, by its bytes, or {} if it was over
+# either budget: a part takes 100 to 300 bytes once parsed, so the bytes
+# alone would let fragments dense in elements or attributes hold over 60
+# times their size.
+_MEMO_BYTES = 512 << 10
+_MEMO_PARTS = 16 << 10
+_memo: dict[bytes, _Fragment] = {}
+
+
 def _read(data: bytes) -> _Fragment:
-    """The fragment of data: the one this process wrote, from the memo, or
-    else parsed through xml_parse; an error is raised afresh on every call."""
+    """The fragment of data: the one the latest fragment call wrote, from
+    the memo, or else parsed through xml_parse; an error is raised afresh on
+    every call."""
     fragment = _memo.get(data)
     if fragment is not None:
         return fragment
@@ -335,71 +357,6 @@ def _read(data: bytes) -> _Fragment:
                 holders.add(holder[0])
                 holder = holder[1]
     return _Fragment(root, refs, holders)
-
-
-def _parts(root: Element) -> int:
-    """The elements, attributes and text nodes of a tree."""
-    parts, pending = 0, [root]
-    while pending:
-        element = pending.pop()
-        parts += 1 + len(element.attributes)
-        for child in element.children:
-            if isinstance(child, Element):
-                pending.append(child)
-            else:
-                parts += 1
-    return parts
-
-
-class _Memo:
-    """The fragments fragment wrote, by their exact bytes, least recently
-    used first, each with its number of parts. The entries' keys add up to
-    at most budget bytes, and their trees to at most part_budget parts. A
-    part takes 100 to 300 bytes once parsed, so the bytes alone would let a
-    fragment dense in elements or attributes hold over 60 times its size."""
-
-    budget = 512 << 10
-    part_budget = 16 << 10
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.entries: OrderedDict[bytes, tuple[_Fragment, int]] = OrderedDict()
-        self.size = 0
-        self.parts = 0
-
-    def get(self, data: bytes) -> _Fragment | None:
-        with self.lock:
-            entry = self.entries.get(data)
-            if entry is None:
-                return None
-            self.entries.move_to_end(data)
-        return entry[0]
-
-    def add(self, data: bytes, fragment: _Fragment, parts: int) -> None:
-        if len(data) > self.budget or parts > self.part_budget:
-            return
-        with self.lock:
-            if data in self.entries:  # the same bytes: the same tree and parts
-                self.entries.move_to_end(data)
-            else:
-                self.size += len(data)
-                self.parts += parts
-            self.entries[data] = (fragment, parts)
-            evicted = []  # freed after the lock is released
-            while self.size > self.budget or self.parts > self.part_budget:
-                old, entry = self.entries.popitem(last=False)
-                self.size -= len(old)
-                self.parts -= entry[1]
-                evicted.append(entry)
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-            self.size = 0
-            self.parts = 0
-
-
-_memo = _Memo()
 
 
 class _Defrag:
@@ -583,8 +540,8 @@ def defragment(
     """Reassemble a fragmented document; the result has no x-ref elements.
 
     Fragments are fetched breadth-first, one get_many per store and level,
-    and each distinct fragment is fetched once per call and, unless this
-    process wrote it and the memo still holds it, parsed once per call;
+    and each distinct fragment is fetched once per call and, unless the
+    latest fragment call in this process wrote it, parsed once per call;
     nothing read is added to the memo. The document is then assembled
     without recursion, so depth is limited only by memory. The result may
     share immutable subtrees with earlier results."""

@@ -97,12 +97,12 @@ class HalfWriteFile:
 @pytest.fixture(autouse=True)
 def empty_fragment_memo():
     """Every test starts and ends with an empty memo of parsed fragments, so
-    none reads a tree that another test wrote or parsed."""
+    none reads a tree that another test wrote."""
     from xbase import xmlfrag
 
-    xmlfrag._memo.clear()
+    xmlfrag._memo = {}
     yield
-    xmlfrag._memo.clear()
+    xmlfrag._memo = {}
 
 
 @pytest.fixture

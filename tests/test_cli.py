@@ -531,6 +531,34 @@ class TestProxyCommands:
         finally:
             server.stop()
 
+    def test_an_index_put_policy_routes_puts_to_that_target(self, tmp_home, capsys):
+        backings = [MemoryStore(policy="sequence") for _ in range(2)]
+        servers = [serve(backing, ("127.0.0.1", 0)) for backing in backings]
+        try:
+            targets = "".join(f'<target address="127.0.0.1:{server.address[1]}"/>'
+                              for server in servers)
+            tmp_home.mkdir()
+            (tmp_home / "proxy.xml").write_text(f'<proxy put-policy="1">{targets}</proxy>')
+            assert main(["put", "--store", "proxy", "--hex", "c0ffee"]) == 0
+            key = Key.from_hex(capsys.readouterr().out.strip())
+            assert len(backings[0]) == 0 and backings[1].get(key) == b"\xc0\xff\xee"
+        finally:
+            for server in servers:
+                server.stop()
+
+    @pytest.mark.parametrize("config", [
+        b'<proxy put-policy="-1"/>',
+        b'<proxy put-policy="first"/>',
+        b'<proxies put-policy="local-first"/>',
+        b'<proxy><target/></proxy>',
+        b'<proxy><peer address="127.0.0.1:9"/></proxy>',
+    ])
+    def test_a_bad_config_exits_1(self, tmp_home, capsys, config):
+        tmp_home.mkdir()
+        (tmp_home / "proxy.xml").write_bytes(config)
+        assert main(["store-id", "--store", "proxy"]) == 1
+        assert "proxy.xml" in capsys.readouterr().err
+
     def test_proxy_with_all_targets_down_exits_2(self, tmp_home, capsys):
         main(["proxy", "add-target", f"127.0.0.1:{_free_port()}"])
         capsys.readouterr()

@@ -16,7 +16,7 @@ import xbase
 from conftest import HalfWriteFile, crc32_reference
 from xbase import framedlog
 from xbase.cli import main
-from xbase.core import Key, Name, XbaseError
+from xbase.core import MAX_KEY_LEN, Key, Name, XbaseError
 from xbase.namer import NAMER_HEADER_LEN, LogNamer
 from xbase.stores import HEADER_LEN, AppendLogStore
 
@@ -207,10 +207,11 @@ def test_hint_of_the_wrong_shape_falls_back(kind, tmp_path, caplog):
         fmt + marshal.dumps((log_id, end, crc, "not a state")),
         fmt + marshal.dumps((log_id, end, crc, (state[0],) + state)),
     ]
-    if kind is NamerKind:  # a live key list holding a str where key bytes belong
+    if kind is NamerKind:  # a live key list holding what is not a key's bytes
         max_seq, live, history = state
-        live = {**live, next(iter(live)): ["not key bytes"]}
-        wrong.append(fmt + marshal.dumps((log_id, end, crc, (max_seq, live, history))))
+        for bad in ("not key bytes", b"", bytes(MAX_KEY_LEN + 1)):
+            bad_live = {**live, next(iter(live)): [bad]}
+            wrong.append(fmt + marshal.dumps((log_id, end, crc, (max_seq, bad_live, history))))
     for body in wrong:
         plain, hinted = open_both(kind, path, full, sidecar(body))
         assert same(plain, hinted) and not hinted[2], body

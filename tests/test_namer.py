@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import HalfWriteFile, crc32_reference
 from xbase.core import (
+    MAX_KEY_LEN,
     CorruptionError,
     Key,
     Name,
@@ -527,6 +528,43 @@ class TestLazyHistory:
         assert self._state(path) == expected
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: hint not used (format); replaying the whole log"]
+
+    @pytest.mark.parametrize("entry", [
+        (1, ACTION_BIND),  # a 2-tuple
+        [1, ACTION_BIND, b"k"],  # a list
+        (1, ACTION_BIND, b""),  # an empty key
+        (1, ACTION_BIND, bytes(MAX_KEY_LEN + 1)),
+        (1, ACTION_BIND, "k"),
+        (1, 3, b"k"),  # an unknown action
+        (0, ACTION_BIND, b"k"),
+        (99, ACTION_BIND, b"k"),  # past max_seq
+        (True, ACTION_BIND, b"k"),
+    ], ids=["pair", "list", "empty key", "long key", "str key", "unknown action", "seq 0",
+            "seq past max_seq", "bool seq"])
+    def test_history_entry_a_log_could_not_hold_is_corruption(self, tmp_path, entry):
+        """A history whose count and shape are right but one of whose
+        entries no record could give raises CorruptionError naming the hint
+        on each use, and appends nothing."""
+        path = tmp_path / "n.namer"
+        self._build(path)
+        text = LAZY_NAMES[0].text
+
+        def rewrite(packed):
+            count, blob = packed[text]
+            history = marshal.loads(blob)
+            packed[text] = (count, marshal.dumps([entry] + history[1:]))
+            return packed
+
+        self._rewrite_history(path, rewrite)
+        size = path.stat().st_size
+        with LogNamer.open(path) as namer:
+            assert namer._hint_end != 0
+            for use in (lambda: namer.lookup_as_of(LAZY_NAMES[0], 3),
+                        lambda: namer.bind(LAZY_NAMES[0], Key(b"\x09")),
+                        namer.records):
+                with pytest.raises(CorruptionError, match=f"{_hint_path(path)}: the history"):
+                    use()
+        assert path.stat().st_size == size
 
     @pytest.mark.parametrize("damage", ["count", "not marshal", "not a list"])
     def test_history_that_does_not_match_its_count_is_corruption(self, tmp_path, damage):

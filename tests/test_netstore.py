@@ -6,6 +6,7 @@ import socketserver
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -971,6 +972,50 @@ class TestBursts:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * len(big)
+
+
+class _OneBurst:
+    """A connection whose first receive brings all of burst, whose next
+    ends the stream, and whose sends are logged with the number of requests
+    served when each was made."""
+
+    def __init__(self, burst: bytes, served: list):
+        self._chunks, self._served, self.sends = [burst], served, []
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def recv_into(self, view) -> int:
+        if not self._chunks:
+            return 0
+        data = self._chunks.pop()
+        view[:len(data)] = data
+        return len(data)
+
+    def sendall(self, data) -> None:
+        self.sends.append((len(self._served), bytes(data)))
+
+
+def test_responses_go_out_early_once_they_reach_the_send_size():
+    """A burst of small gets, received whole, is answered in sends of
+    _SEND_BYTES or a response more, each made before the rest of the
+    burst is served, and the remainder once the burst is served."""
+    served = []
+
+    class Logged(MemoryStore):
+        def get(self, key):
+            served.append(key)
+            return super().get(key)
+
+    store = Logged(policy="sequence")
+    values = [bytes([i]) * 1000 for i in range(40)]
+    keys = [store.put(value) for value in values]
+    connection = _OneBurst(b"".join(encode_message(GetRequest(k.raw)) for k in keys), served)
+    netstore._Handler(connection, ("127.0.0.1", 0), SimpleNamespace(store=store))
+    frames = [encode_message(DataResponse(value)) for value in values]
+    per_send = -(-netstore._SEND_BYTES // len(frames[0]))  # frames that reach it
+    assert [n for n, _ in connection.sends] == [per_send, 2 * per_send, len(values)]
+    assert b"".join(data for _, data in connection.sends) == b"".join(frames)
 
 
 class TestBatches:

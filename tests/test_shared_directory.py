@@ -116,6 +116,56 @@ def test_a_sequence_put_skips_keys_bound_elsewhere_unread(tmp_path, monkeypatch)
         assert busy.get(seq_key(5001)) == b"late"
 
 
+@pytest.fixture
+def lost_race(monkeypatch):
+    """lose(path): from now on, os.path.lexists misses path until a link to
+    it fails, as if another writer bound it between a handle's existence
+    check and its link."""
+    hidden = set()
+    lexists, link = os.path.lexists, os.link
+
+    def missing_lexists(path):
+        return str(path) not in hidden and lexists(path)
+
+    def failing_link(src, dst):
+        try:
+            link(src, dst)
+        except FileExistsError:
+            hidden.discard(str(dst))
+            raise
+
+    monkeypatch.setattr(os.path, "lexists", missing_lexists)
+    monkeypatch.setattr(os, "link", failing_link)
+    return lambda store, key: hidden.add(store._value_path(key.raw))
+
+
+def test_a_put_that_loses_the_link_mints_again(tmp_path, lost_race):
+    directory = tmp_path / "d"
+    with FilePerKeyStore.open(directory, policy="sequence") as late, \
+            FilePerKeyStore.open(directory) as first:
+        assert first.put(b"first") == seq_key(1)
+        lost_race(late, seq_key(1))
+        assert late.put(b"late") == seq_key(2)
+        for store in (late, first):
+            assert store.get(seq_key(1)) == b"first"
+            assert store.get(seq_key(2)) == b"late"
+
+
+def test_a_put_with_key_that_loses_the_link_compares_bytes(tmp_path, lost_race):
+    directory = tmp_path / "d"
+    with FilePerKeyStore.open(directory, policy="sequence") as late, \
+            FilePerKeyStore.open(directory) as first:
+        same, other = Key(b"\x77" * 8), Key(b"\x78" * 8)
+        for key in (same, other):
+            first.put_with_key(b"first", key)
+            lost_race(late, key)
+        late.put_with_key(b"first", same)  # equal bytes: the binding stands
+        with pytest.raises(KeyConflictError):
+            late.put_with_key(b"late", other)
+        for store in (late, first):
+            assert store.get(same) == store.get(other) == b"first"
+
+
 def test_two_processes_put(tmp_path):
     directory = tmp_path / "d"
     FilePerKeyStore.open(directory, policy="sequence").close()
